@@ -26,7 +26,7 @@ import (
 )
 
 // session is the shared experiment session the benchmarks run on:
-// default parallelism and the serial machine core, no instrumentation.
+// default parallelism and machine core width, no instrumentation.
 var session = exp.NewSession(exp.Observer{}, 0, 0)
 
 func benchCurves(b *testing.B, nodes, region int) {

@@ -24,11 +24,7 @@ func main() {
 	flag.Parse()
 	cli.Check("ablate", obsFlags.Start())
 	defer obsFlags.Stop()
-	ob := exp.Observer{Tracer: obsFlags.Tracer, Spans: obsFlags.Spans, Metrics: obsFlags.WriteMetrics, SampleEvery: obsFlags.SampleEvery(), Faults: obsFlags.Faults(), Deadline: obsFlags.Deadline(), Live: obsFlags.Live()}
-	if obsFlags.Checking() {
-		ob.Check = obsFlags.CheckSink
-	}
-	s := exp.NewSession(ob, *parallel, obsFlags.Shards())
+	s := obsFlags.Session(*parallel)
 
 	fmt.Printf("Region-size sweep (Dir3CV_r on %s):\n\n", *app)
 	_, tb := s.RegionSweep(*app, *procs)

@@ -118,8 +118,8 @@ func main() {
 	if err != nil {
 		cli.Fatalf(tool, "%v", err)
 	}
-	if obsFlags.Shards() > 0 && m.Shards() == 0 {
-		fmt.Fprintf(os.Stderr, "%s: -shards %d ignored, serial fallback: %s\n", tool, obsFlags.Shards(), m.FallbackReason())
+	if r := m.FallbackReason(); r != "" {
+		fmt.Fprintf(os.Stderr, "%s: -shards %d %s\n", tool, obsFlags.Shards(), r)
 	}
 
 	c := w.Characterize()

@@ -11,7 +11,6 @@ import (
 	"dircoh/internal/analytic"
 	"dircoh/internal/cli"
 	"dircoh/internal/core"
-	"dircoh/internal/exp"
 	"dircoh/internal/stats"
 )
 
@@ -53,11 +52,7 @@ func main() {
 	}
 	cli.Check("invdist", obsFlags.Start())
 	defer obsFlags.Stop()
-	ob := exp.Observer{Tracer: obsFlags.Tracer, Spans: obsFlags.Spans, Metrics: obsFlags.WriteMetrics, SampleEvery: obsFlags.SampleEvery(), Faults: obsFlags.Faults(), Deadline: obsFlags.Deadline(), Live: obsFlags.Live()}
-	if obsFlags.Checking() {
-		ob.Check = obsFlags.CheckSink
-	}
-	s := exp.NewSession(ob, 0, obsFlags.Shards())
+	s := obsFlags.Session(0)
 
 	if *fig2 {
 		if *plot {

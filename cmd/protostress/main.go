@@ -70,8 +70,8 @@ func main() {
 		faultStr  = flag.String("fault", "none", "inject a protocol mutation (none, drop-inval, skip-recall); the checker must catch it")
 		faultsStr = flag.String("faults", "", "inject network faults under every trial: a mesh.ParseFaults spec, or 'campaign' for a seeded per-trial mix; recovery must keep every trial clean")
 		wedge     = flag.Bool("wedge", false, "watchdog self-test: drop every message with a tiny retry budget; every trial must abort with a diagnostic dump")
-		checkOn   = flag.Bool("check", true, "run the invariant checker on every trial (the checker forces the serial engine; disable it to exercise -shards)")
-		shards    = flag.Int("shards", 0, "run each trial on N parallel event-wheel shards (serial-vs-sharded differential runs use -check=false -shards N)")
+		checkOn   = flag.Bool("check", true, "run the invariant checker on every trial (the checker clamps the run to width 1; disable it to exercise -shards)")
+		shards    = flag.Int("shards", 1, "run each trial on N parallel event-wheel shards (width differential runs use -check=false -shards N)")
 		parallel  = flag.Int("parallel", 0, "concurrent trials (0 = one per core)")
 		verbose   = flag.Bool("v", false, "print every trial, not just failures")
 	)
@@ -85,8 +85,8 @@ func main() {
 	if err != nil {
 		cli.Usagef(tool, "%v", err)
 	}
-	if *trialsN <= 0 || *refs <= 0 || *blocks <= 0 {
-		cli.Usagef(tool, "-trials, -refs and -blocks must be positive")
+	if *trialsN <= 0 || *refs <= 0 || *blocks <= 0 || *shards <= 0 {
+		cli.Usagef(tool, "-trials, -refs, -blocks and -shards must be positive")
 	}
 	if *faultsStr != "" && *faultsStr != "campaign" {
 		if _, err := mesh.ParseFaults(*faultsStr); err != nil {
@@ -99,8 +99,8 @@ func main() {
 	if !*checkOn && fault != machine.FaultNone {
 		cli.Usagef(tool, "-fault self-tests need the checker; drop -check=false")
 	}
-	if *shards > 0 && *checkOn {
-		fmt.Fprintf(os.Stderr, "%s: note: -shards %d has no effect while the checker is on (serial fallback); add -check=false\n", tool, *shards)
+	if *shards > 1 && *checkOn {
+		fmt.Fprintf(os.Stderr, "%s: note: -shards %d is clamped to width 1 while the checker is on; add -check=false\n", tool, *shards)
 	}
 
 	o := stress.Options{

@@ -29,8 +29,7 @@ func main() {
 	flag.Parse()
 	cli.Check("report", obsFlags.Start())
 	defer obsFlags.Stop()
-	ob := exp.Observer{Tracer: obsFlags.Tracer, Spans: obsFlags.Spans, Metrics: obsFlags.WriteMetrics, SampleEvery: obsFlags.SampleEvery(), Faults: obsFlags.Faults(), Deadline: obsFlags.Deadline(), Live: obsFlags.Live()}
-	s := exp.NewSession(ob, *parallel, obsFlags.Shards())
+	s := obsFlags.Session(*parallel)
 
 	w := bufio.NewWriter(os.Stdout)
 	if *out != "" {

@@ -220,11 +220,14 @@ func main() {
 		retries    = flag.Int("retries", 1, "re-runs of a failed (non-stuck) job before its failure record is final")
 		ckptEvery  = flag.Int("checkpoint-every", 8, "journal appends between checkpoint compactions")
 		parallel   = flag.Int("parallel", 0, "worker budget per campaign (0 = one per core)")
-		shards     = flag.Int("shards", 0, "machine-core shard width for simulation jobs")
+		shards     = flag.Int("shards", 1, "machine-core shard width for simulation jobs (at least 1)")
 		drainWait  = flag.Duration("drain-timeout", 2*time.Minute, "how long SIGTERM waits for in-flight jobs before exiting anyway")
 		traceDir   = flag.String("trace-dir", "", "directory the registered \"trace\" app replays (overrides the default)")
 	)
 	flag.Parse()
+	if *shards < 1 {
+		cli.Usagef(tool, "-shards must be at least 1 (got %d)", *shards)
+	}
 	if *traceDir != "" {
 		apps.SetTraceDir(*traceDir)
 	}

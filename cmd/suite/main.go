@@ -61,11 +61,7 @@ func main() {
 	// every run (the same path the campaign service uses, so outputs
 	// match); the suite's own pool provides the cross-run concurrency, so
 	// the session executes each entry serially.
-	ob := exp.Observer{Tracer: obsFlags.Tracer, Spans: obsFlags.Spans, Metrics: obsFlags.WriteMetrics, SampleEvery: obsFlags.SampleEvery(), Faults: obsFlags.Faults(), Deadline: obsFlags.Deadline(), Live: obsFlags.Live()}
-	if obsFlags.Checking() {
-		ob.Check = obsFlags.CheckSink
-	}
-	sess := exp.NewSession(ob, 1, obsFlags.Shards())
+	sess := obsFlags.Session(1)
 
 	results := runner.Map(runner.New(*parallel), s.Runs, func(run config.RunSpec) outcome {
 		r, err := sess.ExecuteSpec(run)

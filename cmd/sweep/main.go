@@ -6,7 +6,7 @@
 //	sweep             # everything, using all cores
 //	sweep -only 7-10  # just the scheme-comparison figures
 //	sweep -parallel 1 # serial baseline
-//	sweep -shards 4   # sharded machine core, bit-identical output
+//	sweep -shards 4   # four machine-core shards, bit-identical output
 package main
 
 import (
@@ -32,16 +32,16 @@ func main() {
 	if err := analytic.ValidateTrials(*trials); err != nil {
 		cli.Usagef("sweep", "%v", err)
 	}
+	keys, err := exp.ParseSections(*only)
+	if err != nil {
+		cli.Usagef("sweep", "-only: %v", err)
+	}
 	cli.Check("sweep", obsFlags.Start())
 	defer obsFlags.Stop()
-	ob := exp.Observer{Tracer: obsFlags.Tracer, Spans: obsFlags.Spans, Metrics: obsFlags.WriteMetrics, SampleEvery: obsFlags.SampleEvery(), Faults: obsFlags.Faults(), Deadline: obsFlags.Deadline(), Live: obsFlags.Live()}
-	if obsFlags.Checking() {
-		ob.Check = obsFlags.CheckSink
-	}
-	s := exp.NewSession(ob, *parallel, obsFlags.Shards())
+	s := obsFlags.Session(*parallel)
 	start := time.Now()
 
-	runSweep(s, os.Stdout, *only, *procs, *trials)
+	runSweep(s, os.Stdout, keys, *procs, *trials)
 
 	elapsed := time.Since(start)
 	fmt.Printf("\nsweep completed in %s with %d workers\n", elapsed.Round(time.Second), s.Parallelism())

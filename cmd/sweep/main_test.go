@@ -2,15 +2,29 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"dircoh/internal/exp"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
+
+// sections parses an -only list the way main does.
+func sections(t *testing.T, only string) []string {
+	t.Helper()
+	keys, err := exp.ParseSections(only)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
 
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
@@ -36,7 +50,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // count with the fixed seed the sweep always uses.
 func TestSweepGoldenAnalytic(t *testing.T) {
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, "t1,2", 8, 64)
+	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "t1,2"), 8, 64)
 	checkGolden(t, "sweep_t1_2.golden", buf.Bytes())
 }
 
@@ -44,7 +58,7 @@ func TestSweepGoldenAnalytic(t *testing.T) {
 // size (workload characterization only — no simulation).
 func TestSweepGoldenTable2(t *testing.T) {
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, "t2", 8, 1)
+	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "t2"), 8, 1)
 	checkGolden(t, "sweep_t2.golden", buf.Bytes())
 }
 
@@ -53,7 +67,7 @@ func TestSweepGoldenTable2(t *testing.T) {
 // cost table at 64-4096 clusters. Pure arithmetic, no simulation.
 func TestSweepGoldenScale(t *testing.T) {
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, "scale", 8, 1)
+	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "scale"), 8, 1)
 	checkGolden(t, "sweep_scale.golden", buf.Bytes())
 }
 
@@ -66,16 +80,16 @@ func TestSweepGoldenScaleSim(t *testing.T) {
 		t.Skip("simulates 256-4096 cluster machines")
 	}
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, "scale-sim", 8, 1)
+	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "scale-sim"), 8, 1)
 	checkGolden(t, "sweep_scale_sim.golden", buf.Bytes())
 }
 
-// TestScaleSmokeSerialVsSharded is the bounded large-geometry smoke: one
-// 1024-cluster scale cell (the adaptive two-level scheme) run on the
-// sharded machine core at widths 1 and 4 must render byte-identically —
-// the width-independence guarantee exercised at the scale the compact
+// TestScaleSmokeWidths is the bounded large-geometry smoke: one
+// 1024-cluster scale cell (the adaptive two-level scheme) run at machine
+// core widths 1 and 4 must render byte-identically — the
+// width-independence guarantee exercised at the scale the compact
 // encodings exist for. Bounded to a single cell so CI stays fast.
-func TestScaleSmokeSerialVsSharded(t *testing.T) {
+func TestScaleSmokeWidths(t *testing.T) {
 	saved := exp.ScaleSchemes
 	exp.ScaleSchemes = exp.ScaleSchemes[2:3] // Two Level only
 	defer func() { exp.ScaleSchemes = saved }()
@@ -99,7 +113,7 @@ func TestScaleSmokeSerialVsSharded(t *testing.T) {
 func TestSweepParallelismInvariant(t *testing.T) {
 	render := func(par int) []byte {
 		var buf bytes.Buffer
-		runSweep(exp.NewSession(exp.Observer{}, par, 0), &buf, "3-6", 8, 1)
+		runSweep(exp.NewSession(exp.Observer{}, par, 0), &buf, sections(t, "3-6"), 8, 1)
 		return buf.Bytes()
 	}
 	want := render(1)
@@ -114,24 +128,22 @@ func TestSweepParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestSweepShardsInvariant renders a simulation-backed section with the
-// sharded machine core at several widths and requires byte-identical
-// output — the end-to-end form of the sharded engine's equivalence
-// guarantee. Width 1 is the reference: every width >= 1 shares the
-// canonical (time, origin cluster, sequence) event order. The legacy
-// serial engine (-shards 0) keeps its own heap-insertion tie-breaking
-// and is locked by the other golden tests, not this one.
+// TestSweepShardsInvariant renders a simulation-backed section at several
+// machine core widths and requires byte-identical output — the end-to-end
+// form of the core's equivalence guarantee. Width 0 (the library default)
+// and every width >= 1 share one (time, origin cluster, sequence) event
+// order.
 func TestSweepShardsInvariant(t *testing.T) {
 	render := func(shards int) []byte {
 		var buf bytes.Buffer
-		runSweep(exp.NewSession(exp.Observer{}, 0, shards), &buf, "7-10", 8, 1)
+		runSweep(exp.NewSession(exp.Observer{}, 0, shards), &buf, sections(t, "7-10"), 8, 1)
 		return buf.Bytes()
 	}
 	want := render(1)
 	if len(want) == 0 {
 		t.Fatal("empty sweep output")
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{0, 2, 4} {
 		if got := render(shards); !bytes.Equal(got, want) {
 			t.Fatalf("-shards %d output differs from -shards 1:\n--- shards 1 ---\n%s\n--- shards %d ---\n%s",
 				shards, want, shards, got)
@@ -150,11 +162,39 @@ func TestWant(t *testing.T) {
 		{"t1,2", "2", true},
 		{"t1, 2", "2", true},
 		{"t1,2", "t2", false},
-		{"7-10", "7", false},
+		{"3-6", "7-10", false},
 	}
 	for _, c := range cases {
-		if got := want(c.only, c.key); got != c.want {
-			t.Errorf("want(%q, %q) = %v, want %v", c.only, c.key, got, c.want)
+		if got := slices.Contains(sections(t, c.only), c.key); got != c.want {
+			t.Errorf("-only %q selects %q = %v, want %v", c.only, c.key, got, c.want)
+		}
+	}
+}
+
+// TestUnknownOnlyExits2: an -only key that names no section is a usage
+// error — exit status 2 with the bad key and the valid ones on stderr —
+// even next to a valid key, and nothing is rendered.
+func TestUnknownOnlyExits2(t *testing.T) {
+	if only := os.Getenv("SWEEP_TEST_ONLY"); only != "" {
+		os.Args = []string{"sweep", "-only", only}
+		main()
+		return
+	}
+	for _, only := range []string{"zzz", "t1,zzz"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownOnlyExits2$")
+		cmd.Env = append(os.Environ(), "SWEEP_TEST_ONLY="+only)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("-only %s: err=%v, want exit status 2 (stderr: %s)", only, err, stderr.String())
+		}
+		if msg := stderr.String(); !strings.Contains(msg, `"zzz"`) || !strings.Contains(msg, "7-10") {
+			t.Errorf("-only %s: stderr %q does not name the bad key and the valid ones", only, msg)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-only %s rendered output: %q", only, stdout.String())
 		}
 	}
 }

@@ -6,16 +6,13 @@ import (
 	"dircoh/internal/exp"
 )
 
-// want reports whether the -only list selects the section key; the logic
-// lives in exp.SectionEnabled so the campaign service shares it.
-func want(only, key string) bool { return exp.SectionEnabled(only, key) }
-
-// runSweep renders the selected sections to w. It is deterministic for a
-// fixed (only, procs, trials) triple at any parallelism, which the
-// golden-file and determinism tests rely on — keep wall-clock output out
-// of here (the footer lives in main). The section renderers moved to
-// exp.Session so the campaign service can journal and resume a sweep
-// section by section; this wrapper keeps the command and its goldens.
-func runSweep(s *exp.Session, w io.Writer, only string, procs, trials int) {
-	s.Sweep(w, only, procs, trials)
+// runSweep renders the given sections (parsed by exp.ParseSections) to w.
+// It is deterministic for a fixed (keys, procs, trials) triple at any
+// parallelism, which the golden-file and determinism tests rely on — keep
+// wall-clock output out of here (the footer lives in main). The section
+// renderers live in exp.Session so the campaign service can journal and
+// resume a sweep section by section; this wrapper keeps the command and
+// its goldens.
+func runSweep(s *exp.Session, w io.Writer, keys []string, procs, trials int) {
+	s.Sweep(w, keys, procs, trials)
 }

@@ -101,7 +101,7 @@ func parse(r io.Reader) ([]*analysis, error) {
 				return nil, fmt.Errorf("line %d: malformed root span %d (tx %d, phase %s)", lineNo, s.ID, s.Tx, s.Phase)
 			}
 			if prev := p.roots[s.ID]; prev != nil {
-				// Root TxIDs must be unique within a run: the sharded core
+				// Root TxIDs must be unique within a run: the machine
 				// derives them as cluster<<40|seq, so a collision means a
 				// broken merge (or two runs written under one label) and
 				// every table downstream would silently blend the two

@@ -81,6 +81,18 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsUnknownSection: a sweep spec whose -only list names an
+// unknown section next to valid ones is rejected with the typed error,
+// not silently narrowed to the valid keys.
+func TestSpecRejectsUnknownSection(t *testing.T) {
+	s := Spec{Kind: "sweep", Sweep: &SweepSpec{Only: "7-10,zzz"}}
+	err := s.Validate()
+	var ue *exp.UnknownSectionError
+	if !errors.As(err, &ue) || ue.Key != "zzz" {
+		t.Fatalf("Validate() = %v, want an *exp.UnknownSectionError naming zzz", err)
+	}
+}
+
 // TestStressCampaignDeterministic: a volatile stress campaign completes,
 // and a second identical submission produces the byte-identical result.
 func TestStressCampaignDeterministic(t *testing.T) {
@@ -128,7 +140,11 @@ func TestSweepCampaignMatchesSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	exp.NewSession(exp.Observer{}, 0, 0).Sweep(&want, only, 8, 50)
+	keys, err := exp.ParseSections(only)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp.NewSession(exp.Observer{}, 0, 0).Sweep(&want, keys, 8, 50)
 	if got != want.String() {
 		t.Fatalf("campaign sweep diverged from exp.Sweep:\n%q\nvs\n%q", got, want.String())
 	}

@@ -70,7 +70,8 @@ type Config struct {
 	CheckpointEvery int
 	// Parallel is the per-campaign worker budget (0 = one per core).
 	Parallel int
-	// Shards is the machine-core shard width for simulation jobs.
+	// Shards is the machine-core shard width for simulation jobs (0 means
+	// the default width 1).
 	Shards int
 	// NoSync skips the per-append journal fsync (tests; real servers keep
 	// the default durable behavior).

@@ -27,6 +27,13 @@ type SweepSpec struct {
 	Trials int    `json:"trials,omitempty"` // Figure 2 Monte-Carlo trials (default 2000)
 }
 
+// sections returns the validated spec's section keys in canonical order
+// (Validate rejects a list ParseSections cannot parse).
+func (s *SweepSpec) sections() []string {
+	keys, _ := exp.ParseSections(s.Only)
+	return keys
+}
+
 // StressSpec parameterizes a protocol stress campaign (cmd/protostress
 // with the checker on).
 type StressSpec struct {
@@ -75,7 +82,11 @@ func (s *Spec) Validate() error {
 		if s.Sweep.Procs < 0 || s.Sweep.Trials < 0 {
 			return fmt.Errorf("campaign: sweep procs and trials must be positive")
 		}
-		if len(exp.SelectSections(s.Sweep.Only)) == 0 {
+		keys, err := exp.ParseSections(s.Sweep.Only)
+		if err != nil {
+			return fmt.Errorf("campaign: sweep -only: %w", err)
+		}
+		if len(keys) == 0 {
 			return fmt.Errorf("campaign: sweep -only %q selects no sections", s.Sweep.Only)
 		}
 	case "suite":
@@ -139,7 +150,7 @@ func (s *Spec) Validate() error {
 func (s *Spec) Jobs() int {
 	switch s.Kind {
 	case "sweep":
-		return len(exp.SelectSections(s.Sweep.Only))
+		return len(s.Sweep.sections())
 	case "suite":
 		return len(s.Suite.Runs)
 	case "stress":
@@ -152,7 +163,7 @@ func (s *Spec) Jobs() int {
 func (s *Spec) JobLabel(i int) string {
 	switch s.Kind {
 	case "sweep":
-		return "section " + exp.SelectSections(s.Sweep.Only)[i]
+		return "section " + s.Sweep.sections()[i]
 	case "suite":
 		return s.Suite.Runs[i].Name
 	case "stress":
@@ -202,7 +213,7 @@ func (s *Spec) RunJob(i int, sess *exp.Session, timeout time.Duration) (out stri
 	switch s.Kind {
 	case "sweep":
 		var buf bytes.Buffer
-		key := exp.SelectSections(s.Sweep.Only)[i]
+		key := s.Sweep.sections()[i]
 		sess.RenderSweepSection(&buf, key, s.Sweep.Procs, s.Sweep.Trials)
 		return buf.String(), nil
 	case "suite":

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"dircoh/internal/check"
+	"dircoh/internal/exp"
 	"dircoh/internal/mesh"
 	"dircoh/internal/obs"
 	"dircoh/internal/sim"
@@ -127,7 +128,7 @@ func NewObs(tool string) *Obs {
 	flag.StringVar(&o.memPath, "memprofile", "", "write a heap profile to this file on exit")
 	flag.StringVar(&o.faultSpec, "faults", "", "inject network faults: drop=P,dup=P,delay=P:MAX,outage=P:LEN:EVERY[,seed=N] (see mesh.ParseFaults; empty disables)")
 	flag.DurationVar(&o.deadline, "deadline", 0, "abort a run still going after this wall-clock duration, with the liveness watchdog's diagnostic dump (0 disables)")
-	flag.IntVar(&o.shards, "shards", 0, "run each machine on N parallel event-wheel shards; results are bit-identical at any N >= 1 (0 = the legacy serial engine; runs needing serial-only features fall back automatically)")
+	flag.IntVar(&o.shards, "shards", 1, "run each machine on N parallel event-wheel shards; results are bit-identical at any N >= 1 (runs with -check, -faults, -fault or mesh port contention clamp to 1)")
 	return o
 }
 
@@ -393,8 +394,53 @@ func (o *Obs) Faults() mesh.FaultConfig {
 // Deadline returns the -deadline wall-clock bound (0 = disabled).
 func (o *Obs) Deadline() time.Duration { return o.deadline }
 
-// Shards returns the -shards machine-core width (0 = the serial engine).
-func (o *Obs) Shards() int { return o.shards }
+// Shards returns the -shards machine-core width, exiting with a usage
+// error when it is below 1.
+func (o *Obs) Shards() int {
+	if err := o.checkShards(); err != nil {
+		Usagef(o.tool, "%v", err)
+	}
+	return o.shards
+}
+
+func (o *Obs) checkShards() error {
+	if o.shards < 1 {
+		return fmt.Errorf("-shards must be at least 1 (got %d)", o.shards)
+	}
+	return nil
+}
+
+// Session builds the experiment session a command runs under: every run
+// observed through these flags (traces, spans, metrics, sampling, the
+// checker, network faults, the deadline and the live server), at most
+// parallel simulations at once, on the validated -shards width. A bad
+// -shards or -faults value exits with a usage error.
+func (o *Obs) Session(parallel int) *exp.Session {
+	s, err := o.session(parallel)
+	if err != nil {
+		Usagef(o.tool, "%v", err)
+	}
+	return s
+}
+
+func (o *Obs) session(parallel int) (*exp.Session, error) {
+	if err := o.checkShards(); err != nil {
+		return nil, err
+	}
+	ob := exp.Observer{
+		Tracer:      o.Tracer,
+		Spans:       o.Spans,
+		Metrics:     o.WriteMetrics,
+		SampleEvery: o.SampleEvery(),
+		Faults:      o.Faults(),
+		Deadline:    o.Deadline(),
+		Live:        o.Live(),
+	}
+	if o.Checking() {
+		ob.Check = o.CheckSink
+	}
+	return exp.NewSession(ob, parallel, o.shards), nil
+}
 
 // openOut opens path for writing; "-" selects stdout, wrapped so the sink
 // flushes on Close without closing the process's stdout.

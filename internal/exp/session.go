@@ -18,13 +18,10 @@ import (
 // Every driver lays out its run grid as an indexed job list, collects
 // results in submission order, and only then renders tables — so output
 // is byte-identical at any Parallelism. The shard width is likewise
-// invisible in the output across widths >= 1, which all share the
-// canonical deterministic event order (the legacy serial engine, width
-// 0, breaks simultaneous-event ties by insertion order instead); runs
-// whose configuration demands serial execution — fault injection, the
-// invariant checker, mesh port contention — silently fall back to the
-// serial engine (observability no longer forces the fallback; see
-// machine.Machine.FallbackReason).
+// invisible in the output: every width shares one deterministic event
+// order, and runs whose configuration shares state across clusters —
+// fault injection, the invariant checker, mesh port contention — clamp to
+// width 1 (see machine.Machine.FallbackReason).
 type Session struct {
 	mu     sync.RWMutex
 	obs    Observer
@@ -35,7 +32,7 @@ type Session struct {
 
 // NewSession builds a session running at most parallel simulations
 // concurrently (<= 0 selects GOMAXPROCS), each on a machine core with the
-// given shard width (0 = the serial engine), observed by o.
+// given shard width (0 selects the default width 1), observed by o.
 func NewSession(o Observer, parallel, shards int) *Session {
 	return &Session{obs: o, pool: runner.New(parallel), shards: shards}
 }

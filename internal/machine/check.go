@@ -90,11 +90,12 @@ func (m *Machine) CheckErr() error {
 	return nil
 }
 
-// protoAnomaly reports a Gate/RAC state-machine anomaly through the checker
-// (the protocol package then panics, so the violation record carries the
-// cycle and transaction context the bare panic string cannot).
-func (m *Machine) protoAnomaly(cluster int, op string, block int64) {
-	m.chk.Violationf(check.RuleProtocol, int32(cluster), block, uint64(m.eng.Now()), "%s", op)
+// protoAnomaly reports a Gate/RAC state-machine anomaly at cluster c
+// through the checker (the protocol package then panics, so the violation
+// record carries the cycle and transaction context the bare panic string
+// cannot).
+func (m *Machine) protoAnomaly(c *clusterNode, op string, block int64) {
+	m.chk.Violationf(check.RuleProtocol, int32(c.id), block, uint64(c.w.Now()), "%s", op)
 }
 
 // cycleDelta returns end-start for a latency observation, clamping the
@@ -125,7 +126,6 @@ func (m *Machine) applyInval(c *clusterNode, b int64, recall bool) {
 		}
 		if m.cfg.Fault == want {
 			m.faultFired = true
-			m.debugf(b, "fault %v: dropped invalidation at c%d", m.cfg.Fault, c.id)
 			return
 		}
 	}
@@ -151,18 +151,21 @@ func (m *Machine) shadowMiss(c *clusterNode, b int64) bool {
 	return true
 }
 
-// invalApplied records a directed invalidation arriving at its target and
-// re-checks the block (a no-op until the last in-flight invalidation for
-// the block has landed).
-func (m *Machine) invalApplied(b int64) {
+// invalApplied records a directed invalidation arriving at its target c
+// and re-checks the block (a no-op until the last in-flight invalidation
+// for the block has landed).
+func (m *Machine) invalApplied(c *clusterNode, b int64) {
 	if m.chk == nil {
 		return
 	}
-	m.chk.InvalApplied(b, uint64(m.eng.Now()))
-	m.checkBlock(b)
+	m.chk.InvalApplied(b, uint64(c.w.Now()))
+	m.checkBlock(c, b)
 }
 
-// checkBlock asserts block b's steady-state invariants. Blocks with a
+// checkBlock asserts block b's steady-state invariants, stamping any
+// violation with the time of c, the cluster whose event is executing (the
+// checker clamps the run to width 1, so reading every cluster's caches is
+// safe). Blocks with a
 // transaction in flight — gated at the home, tracked by the home's RAC, or
 // with directed invalidations still traveling — are legitimately in
 // transition and are skipped; every transition's settle point calls back
@@ -181,7 +184,7 @@ func (m *Machine) invalApplied(b int64) {
 // directory may over-record (stale sharer bits for silently dropped clean
 // victims, coarse regions, broadcast sets), and home-cluster copies need no
 // entry at all.
-func (m *Machine) checkBlock(b int64) {
+func (m *Machine) checkBlock(c *clusterNode, b int64) {
 	chk := m.chk
 	if chk == nil {
 		return
@@ -190,7 +193,7 @@ func (m *Machine) checkBlock(b int64) {
 	if h.gate.Busy(b) || h.rac.Tracking(b) || chk.Inflight(b) > 0 {
 		return
 	}
-	now := uint64(m.eng.Now())
+	now := uint64(c.w.Now())
 	copies := m.blockCopies(b)
 	check.SingleWriter(copies, func(cl int, detail string) {
 		chk.Violationf(check.RuleSingleWriter, int32(cl), b, now, "%s", detail)
@@ -263,7 +266,7 @@ func (m *Machine) checkRecallClean(h *clusterNode, vb int64) {
 		// invalApplied re-checks when the last one lands.
 		return
 	}
-	now := uint64(m.eng.Now())
+	now := uint64(h.w.Now())
 	check.RecallClean(h.id, m.blockCopies(vb), m.entryView(h, vb), func(cl int, detail string) {
 		chk.Violationf(check.RuleRecall, int32(cl), vb, now, "%s", detail)
 	})
@@ -281,9 +284,9 @@ func (m *Machine) finishChecks() {
 		p.h.ForEach(func(b int64, _ cache.State) {
 			if !seen[b] {
 				seen[b] = true
-				m.checkBlock(b)
+				m.checkBlock(p.cl, b)
 			}
 		})
 	}
-	m.chk.Finish(m.extraInval.Value(), uint64(m.eng.Now()))
+	m.chk.Finish(m.reg.Counter("dir.inval.extraneous").Value(), uint64(m.simNow()))
 }

@@ -120,20 +120,17 @@ type Config struct {
 	Timing          Timing      // zero value -> DefaultTiming
 	Seed            int64
 
-	// Shards, when > 0, runs the machine on the sharded event-wheel core:
-	// clusters are partitioned across Shards worker goroutines, each with
-	// its own timing wheel, advancing in lockstep windows bounded by the
-	// minimum cross-shard mesh latency (conservative lookahead). Results —
-	// including metrics, traces, spans and queue-depth samples — are
-	// byte-identical at every Shards value >= 1, but differ from the
-	// Shards == 0 serial engine in event tie-breaking: the sharded core
-	// orders equal-time events by (scheduling cluster, per-cluster
-	// sequence) instead of global insertion order, the property that makes
-	// the order independent of the shard count. Configurations the sharded
-	// core cannot honor (fault injection, the invariant checker, mesh port
-	// contention, deliberate protocol faults, degenerate timing) fall back
-	// to the serial engine; Machine.FallbackReason names the offending
-	// flag and the workaround. 0 is the serial default.
+	// Shards is the machine core's width: clusters are partitioned across
+	// Shards timing wheels, each run by its own worker goroutine in
+	// lockstep windows bounded by the minimum cross-shard mesh latency
+	// (conservative lookahead). 0 selects the default width 1, one wheel
+	// on the calling goroutine. Results — including metrics, traces, spans
+	// and queue-depth samples — are byte-identical at every width, because
+	// equal-time events are ordered by (scheduling cluster, per-cluster
+	// sequence), which no partition changes. Configurations that share
+	// mutable state across clusters (fault injection, the invariant
+	// checker, mesh port contention, deliberate protocol faults) clamp to
+	// width 1; Machine.FallbackReason names the flag.
 	Shards int
 
 	// Retry tunes the timeout/retry delivery recovery active while
@@ -156,16 +153,16 @@ type Config struct {
 	// directories, gates and RACs) records into; a private registry is
 	// created when nil, readable via Machine.MetricsSnapshot. A machine is
 	// single-writer and reads its own counters back into Result, so a
-	// registry must not be shared between machines. Sharded runs record
-	// into private per-cluster registries and merge them into Metrics at
-	// quiescence, so external registries see sharded runs exactly as they
-	// see serial ones.
+	// registry must not be shared between machines. Runs wider than 1
+	// record into per-shard registries and merge them into Metrics at
+	// quiescence, so an external registry sees the same totals at every
+	// width.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives structured coherence events (request
 	// issues, directory lookups, invalidation fan-outs, overflow bursts,
 	// directory evictions, lock retries). nil disables tracing at the cost
-	// of one pointer test per would-be event. Sharded runs buffer events
-	// per shard and flush them in the canonical (time, key) order at
+	// of one pointer test per would-be event. Runs wider than 1 buffer
+	// events per shard and flush them in the canonical (time, key) order at
 	// quiescence, so the event stream is byte-identical at every width.
 	Trace *obs.Tracer
 	// Spans, when non-nil, receives parented transaction spans: every
@@ -175,9 +172,9 @@ type Config struct {
 	// phase (request travel, directory wait, fanout, ack gather, reply
 	// travel). Enabling spans also fills the tx.lat.<class> latency
 	// histograms. nil disables span tracing at the cost of one pointer
-	// test per would-be transaction. Sharded runs allocate width-
-	// independent span IDs and flush buffered spans in canonical order at
-	// quiescence, so span output is byte-identical at every width.
+	// test per would-be transaction. Span IDs derive from the emitting
+	// cluster, and runs wider than 1 flush buffered spans in canonical
+	// order at quiescence, so span output is byte-identical at every width.
 	Spans *obs.SpanRecorder
 	// SampleEvery, when > 0, samples queue depths every SampleEvery
 	// cycles into the dir.queue.depth, dir.entries.live and
@@ -189,9 +186,9 @@ type Config struct {
 	// Live, when non-nil, receives atomically-published in-run progress
 	// snapshots (cycles simulated, events fired, per-shard wheel times,
 	// merged metrics) roughly every 100ms of wall clock, plus a final
-	// sample with Done set. Sharded runs publish from the window barriers
-	// where every shard is quiescent; publishing reads simulator state
-	// without mutating it, so results are unchanged.
+	// sample with Done set. Runs publish between window barriers, where
+	// every shard is quiescent; publishing reads simulator state without
+	// mutating it, so results are unchanged.
 	Live *obs.LiveRun
 	// Check enables the runtime coherence invariant checker: a shadow
 	// oracle asserting single-writer/multiple-reader, directory coverage,
@@ -274,7 +271,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("machine: Retry.MaxRetries must not be negative")
 	}
 	if c.Shards < 0 {
-		return fmt.Errorf("machine: Shards must not be negative")
+		return fmt.Errorf("machine: Shards must not be negative (0 selects width 1)")
 	}
 	if c.Cache != (cache.Config{}) {
 		// Pre-check the cache geometry so a bad flag combination is an

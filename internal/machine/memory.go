@@ -39,7 +39,6 @@ func (m *Machine) accessBlock(p *proc, write bool, b int64) {
 // fill installs block b in p's caches and handles any writeback the fill
 // displaces.
 func (m *Machine) fill(p *proc, b int64, st cache.State) {
-	m.debugf(b, "fill p%d/c%d %v", p.id, p.cl.id, st)
 	v := p.h.Fill(b, st, m.now(p.cl))
 	m.handleVictim(p, v)
 }
@@ -84,7 +83,7 @@ func (m *Machine) handleVictim(p *proc, v cache.Victim) {
 			e.Reset()
 			hc.dir.Release(m.dirKey(vb))
 		}
-		m.checkBlock(vb)
+		m.checkBlock(hc, vb)
 	})
 }
 
@@ -114,7 +113,6 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 			// Cache-to-cache ownership transfer within the cluster; the
 			// directory state (dirty at this cluster, or home-local) is
 			// unchanged.
-			m.debugf(b, "localDirty transfer to p%d/c%d", p.id, p.cl.id)
 			m.fill(p, b, cache.Dirty)
 			m.complete(p, now+m.t.Fill)
 			return
@@ -139,6 +137,7 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 		}
 		tx := m.txStart(class, c, b)
 		m.trace(obs.EvReqIssue, c.id, b, int64(kind))
+		p.grantOwed = true
 		m.sendTx(kind, c.id, home, tx, func() { m.remoteWriteAtHome(p, b, upgrade, tx) })
 		return
 	}
@@ -157,7 +156,6 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 		}
 		switch q.h.State(b) {
 		case cache.Dirty:
-			m.debugf(b, "local dirty supply q%d -> p%d (c%d)", q.id, p.id, c.id)
 			q.h.Downgrade(b)
 			m.fill(p, b, cache.Shared)
 			if home != c.id {
@@ -196,7 +194,6 @@ func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 	m.txEnd(p.cl, tx)
 	now := m.now(p.cl)
 	poisoned := p.cl.poisonedReads[b]
-	m.debugf(b, "remoteReadDone p%d/c%d poisoned=%v followers=%d", p.id, p.cl.id, poisoned, len(p.cl.pendingReads[b]))
 	procs := append([]*proc{p}, p.cl.pendingReads[b]...)
 	delete(p.cl.pendingReads, b)
 	delete(p.cl.poisonedReads, b)
@@ -206,7 +203,7 @@ func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 		}
 		m.complete(q, now+m.t.Fill)
 	}
-	m.checkBlock(b)
+	m.checkBlock(p.cl, b)
 }
 
 // invalidateCluster removes block b from every cache of cluster c and, if
@@ -218,7 +215,6 @@ func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 // directed is false for the home-bus snoop, which is issued
 // unconditionally and so says nothing about directory precision.
 func (m *Machine) invalidateCluster(c *clusterNode, b int64, directed bool) {
-	m.debugf(b, "invalidateCluster c%d", c.id)
 	hit := false
 	for _, q := range c.procs {
 		if present, _ := q.h.Invalidate(b); present {
@@ -258,7 +254,7 @@ func (m *Machine) sendSharingWB(from, home int, b int64) {
 			!m.clusterHoldsDirty(m.clusters[from], b) && !hc.gate.Busy(b) {
 			e.ClearDirty()
 		}
-		m.checkBlock(b)
+		m.checkBlock(hc, b)
 	})
 }
 
@@ -309,8 +305,7 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 			m.send(protocol.DataReply, owner, h.id, func() {
 				m.fill(p, b, cache.Shared)
 				m.complete(p, m.now(h)+m.t.Fill)
-				h.gate.Unlock(b)
-				m.checkBlock(b)
+				m.reopen(h, b)
 			})
 		})
 	})
@@ -368,8 +363,7 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 				m.send(protocol.OwnershipReply, owner, h.id, func() {
 					m.fill(p, b, cache.Dirty)
 					m.complete(p, m.now(h)+m.t.Fill)
-					h.gate.Unlock(b)
-					m.checkBlock(b)
+					m.reopen(h, b)
 				})
 			})
 		})
@@ -394,7 +388,7 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 	m.fill(p, b, cache.Dirty)
 	m.complete(p, now+m.t.Fill)
 	m.sendInvals(h, b, targets, p, nil)
-	m.checkBlock(b)
+	m.checkBlock(h, b)
 }
 
 // sendInvals sends invalidations for block b to every cluster in targets;
@@ -402,33 +396,34 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 // ackTo. The requester's own cluster is never a target (callers exclude
 // it), so acknowledgements always travel the network, as in DASH.
 func (m *Machine) sendInvals(h *clusterNode, b int64, targets bitset.Set, ackTo *proc, tx *txState) {
-	if n := targets.Count(); n > 0 {
+	n := targets.Count()
+	if n > 0 {
 		m.trace(obs.EvInvalFanout, h.id, b, int64(n))
 	}
-	m.txFanout(h, tx, targets.Count(), false)
+	m.txFanout(h, tx, n, false)
 	if m.chk != nil {
-		m.chk.InvalSent(b, targets.Count())
+		m.chk.InvalSent(b, n)
 	}
 	// The directory injects invalidations at a finite rate; a broadcast
 	// keeps the controller busy and delays requests queued behind it.
-	m.occupyDir(h, m.t.InvalSend*sim.Time(targets.Count()))
+	m.occupyDir(h, m.t.InvalSend*sim.Time(n))
+	// One ack handler serves every target: the pre-bound one when spans are
+	// off, so the hot path allocates no closure per invalidation.
+	ack := ackTo.ackFn
+	if tx != nil && n > 0 {
+		ack = func() {
+			m.ackArrived(ackTo)
+			m.txAck(ackTo.cl, tx)
+		}
+	}
 	targets.ForEach(func(t int) {
 		tc := m.clusters[t]
 		m.sendTx(protocol.Inval, h.id, t, tx, func() {
 			done := m.busOp(tc, m.t.InvalBus)
 			m.at(tc, done, func() {
 				m.applyInval(tc, b, false)
-				m.invalApplied(b)
-				if tx == nil {
-					// Hot path: the pre-bound ack handler avoids allocating
-					// a closure per invalidation.
-					m.sendTx(protocol.AckMsg, t, ackTo.cl.id, nil, ackTo.ackFn)
-					return
-				}
-				m.sendTx(protocol.AckMsg, t, ackTo.cl.id, tx, func() {
-					m.ackArrived(ackTo)
-					m.txAck(ackTo.cl, tx)
-				})
+				m.invalApplied(tc, b)
+				m.sendTx(protocol.AckMsg, t, ackTo.cl.id, tx, ack)
 			})
 		})
 	})
@@ -444,7 +439,6 @@ func (m *Machine) remoteReadAtHome(p *proc, b int64, tx *txState) {
 }
 
 func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState) {
-	m.debugf(b, "serveRemoteRead p%d/c%d gateBusy=%v", p.id, p.cl.id, h.gate.Busy(b))
 	if h.gate.Busy(b) {
 		h.gate.Wait(b, func() { m.serveRemoteRead(p, b, h, tx) })
 		return
@@ -469,24 +463,9 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 					q.h.Downgrade(b)
 				}
 				m.txPhase(oc, tx, obs.PhFanout)
-				if m.shard != nil {
-					// The serial engine unlocks the home gate from inside the
-					// reply closure at the requester; a shard must not reach
-					// into another shard's gate, so the home unlocks itself
-					// at the same instant via an uncounted cross-shard event.
-					m.sendTx(protocol.DataReply, owner, rc, tx, func() {
-						m.remoteReadDone(p, b, tx)
-					})
-					m.xat(oc, h, m.now(oc)+m.net.Latency(owner, rc), func() {
-						h.gate.Unlock(b)
-					})
-				} else {
-					m.sendTx(protocol.DataReply, owner, rc, tx, func() {
-						m.remoteReadDone(p, b, tx)
-						h.gate.Unlock(b)
-						m.checkBlock(b)
-					})
-				}
+				m.sendReply(protocol.DataReply, oc, p.cl, h, b, tx, func() {
+					m.remoteReadDone(p, b, tx)
+				})
 				m.sendTx(protocol.SharingWB, owner, h.id, tx, func() {})
 			})
 		})
@@ -504,7 +483,6 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 			// has already been granted back. A real home would NAK;
 			// here the entry is left untouched and the reply merely
 			// completes the read, which the overtaking write poisoned.
-			m.debugf(b, "stale read from owner c%d, entry untouched", rc)
 			p.cl.poisonedReads[b] = true
 			m.txPhase(h, tx, obs.PhDirWait)
 			m.sendTx(protocol.DataReply, h.id, rc, tx, func() {
@@ -540,7 +518,6 @@ func (m *Machine) remoteWriteAtHome(p *proc, b int64, upgrade bool, tx *txState)
 }
 
 func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade bool, tx *txState) {
-	m.debugf(b, "serveRemoteWrite p%d/c%d upgrade=%v gateBusy=%v", p.id, p.cl.id, upgrade, h.gate.Busy(b))
 	if h.gate.Busy(b) {
 		h.gate.Wait(b, func() { m.serveRemoteWrite(p, b, h, upgrade, tx) })
 		return
@@ -563,23 +540,9 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 			m.at(oc, done, func() {
 				m.applyInval(oc, b, false)
 				m.txPhase(oc, tx, obs.PhFanout)
-				if m.shard != nil {
-					// See serveRemoteRead: the home gate unlocks via its own
-					// event at the reply's arrival instant instead of from
-					// the requester-side closure.
-					m.sendTx(protocol.OwnershipReply, owner, rc, tx, func() {
-						m.remoteWriteDone(p, b, upgrade, tx)
-					})
-					m.xat(oc, h, m.now(oc)+m.net.Latency(owner, rc), func() {
-						h.gate.Unlock(b)
-					})
-				} else {
-					m.sendTx(protocol.OwnershipReply, owner, rc, tx, func() {
-						m.remoteWriteDone(p, b, upgrade, tx)
-						h.gate.Unlock(b)
-						m.checkBlock(b)
-					})
-				}
+				m.sendReply(protocol.OwnershipReply, oc, p.cl, h, b, tx, func() {
+					m.remoteWriteDone(p, b, upgrade, 0, tx)
+				})
 			})
 		})
 		return
@@ -609,31 +572,11 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 	m.drainDirVictims(h)
 	h.gate.Lock(b)
 	m.txPhase(h, tx, obs.PhDirWait)
-	if m.shard != nil {
-		// The requester's ack count is carried by the ownership reply (the
-		// reply strictly precedes every acknowledgement: each ack travels
-		// home->target->requester plus a bus transaction, which the
-		// degenerate-timing fallback keeps strictly longer than the direct
-		// reply), and the home unlocks its own gate at the reply's arrival
-		// instant rather than from the requester-side closure.
-		m.sendTx(protocol.OwnershipReply, h.id, rc, tx, func() {
-			p.pendingAcks += n
-			m.remoteWriteDone(p, b, upgrade, tx)
-		})
-		m.at(h, now+m.net.Latency(h.id, rc), func() {
-			h.gate.Unlock(b)
-		})
-	} else {
-		p.pendingAcks += n
-		if m.chk != nil {
-			m.chk.AckExpect(p.id, n)
-		}
-		m.sendTx(protocol.OwnershipReply, h.id, rc, tx, func() {
-			m.remoteWriteDone(p, b, upgrade, tx)
-			h.gate.Unlock(b)
-			m.checkBlock(b)
-		})
-	}
+	// The ownership reply carries the requester's ack count; the acks go
+	// straight to the requester and may overtake it (see ackArrived).
+	m.sendReply(protocol.OwnershipReply, h, p.cl, h, b, tx, func() {
+		m.remoteWriteDone(p, b, upgrade, n, tx)
+	})
 	m.sendInvals(h, b, targets, p, tx)
 }
 
@@ -644,7 +587,7 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 // overtake — the case a real protocol rejects with a NAK. Impossible
 // without fault injection: the fault-free mesh never reorders requests
 // on a pair, so the fault-free answer is constant false — which also
-// keeps the sharded core from peeking at another shard's caches.
+// keeps a wide run from peeking at another shard's caches.
 func (m *Machine) clusterHoldsDirty(c *clusterNode, b int64) bool {
 	if !m.faultsOn {
 		return false
@@ -657,6 +600,34 @@ func (m *Machine) clusterHoldsDirty(c *clusterNode, b int64) bool {
 	return false
 }
 
+// sendReply sends a reply that completes an ownership-moving transaction
+// from cluster from to the requester rc, and reopens the home h's gate for
+// b once the reply has landed. With the delivery time known at send time
+// the gate reopens from an event keyed right after the reply, so no
+// request queued behind the gate can observe the block before the
+// requester holds it, and the home never waits on a requester-side
+// closure. Under the fault model a delayed or retried reply's arrival is
+// unknowable when it is sent, so the reply itself reopens the gate (the
+// fault model clamps the run to width 1, where that is safe).
+func (m *Machine) sendReply(kind protocol.MsgKind, from, rc, h *clusterNode, b int64, tx *txState, arrive func()) {
+	if m.faultsOn {
+		m.sendTx(kind, from.id, rc.id, tx, func() {
+			arrive()
+			m.reopen(h, b)
+		})
+		return
+	}
+	t := m.sendTx(kind, from.id, rc.id, tx, arrive)
+	m.core.relay(from, h, t, func() { m.reopen(h, b) })
+}
+
+// reopen unlocks home h's gate for b, replaying the requests queued behind
+// it, and re-checks the settled block.
+func (m *Machine) reopen(h *clusterNode, b int64) {
+	h.gate.Unlock(b)
+	m.checkBlock(h, b)
+}
+
 // fillExclusive installs an exclusive copy after an ownership reply.
 func (m *Machine) fillExclusive(p *proc, b int64, upgrade bool) {
 	if upgrade && p.h.State(b) != cache.Invalid {
@@ -666,13 +637,14 @@ func (m *Machine) fillExclusive(p *proc, b int64, upgrade bool) {
 	m.fill(p, b, cache.Dirty)
 }
 
-// remoteWriteDone completes p's outstanding write and retries any local
-// accesses that were parked behind it (they now hit the fresh dirty copy
-// over the bus).
-func (m *Machine) remoteWriteDone(p *proc, b int64, upgrade bool, tx *txState) {
+// remoteWriteDone completes p's outstanding write when its ownership reply
+// lands, crediting the n acknowledgements the reply carries, and retries
+// any local accesses that were parked behind it (they now hit the fresh
+// dirty copy over the bus).
+func (m *Machine) remoteWriteDone(p *proc, b int64, upgrade bool, n int, tx *txState) {
+	m.grantAcks(p, n)
 	m.txPhase(p.cl, tx, obs.PhReplyTravel)
 	m.txEnd(p.cl, tx)
-	m.debugf(b, "remoteWriteDone p%d/c%d waiters=%d", p.id, p.cl.id, len(p.cl.writeWaiters[b]))
 	m.fillExclusive(p, b, upgrade)
 	c := p.cl
 	m.complete(p, m.now(c)+m.t.Fill)
@@ -715,7 +687,7 @@ func (m *Machine) handleNBEvictions(h *clusterNode, b int64, ev []core.NodeID, t
 			done := m.busOp(vc, m.t.InvalBus)
 			m.at(vc, done, func() {
 				m.applyInval(vc, b, false)
-				m.invalApplied(b)
+				m.invalApplied(vc, b)
 				m.sendTx(protocol.AckMsg, v, h.id, tx, func() { m.txAck(h, tx) })
 			})
 		})
@@ -753,7 +725,6 @@ func (m *Machine) replaceEntry(h *clusterNode, victim *sparse.Victim) {
 }
 
 func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry) {
-	m.debugf(vb, "recall start h=c%d empty=%v dirty=%v", h.id, ve.Empty(), ve.Dirty())
 	if ve.Empty() {
 		m.recallPending(vb, -1)
 		return
@@ -813,11 +784,9 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 
 func (m *Machine) racAck(h *clusterNode, vb int64) {
 	if h.rac.Ack(vb) {
-		m.debugf(vb, "recall complete h=c%d", h.id)
 		m.recallPending(vb, -1)
 		m.checkRecallClean(h, vb)
-		h.gate.Unlock(vb)
-		m.checkBlock(vb)
+		m.reopen(h, vb)
 	}
 }
 

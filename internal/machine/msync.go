@@ -6,13 +6,6 @@ import (
 	"dircoh/internal/protocol"
 )
 
-// lockTable returns the lock table holding addr's queue — it lives at the
-// lock's home cluster. The serial engine shares one table between all
-// clusters, so the distinction only matters on the sharded core.
-func (m *Machine) lockTable(addr int64) *protocol.LockTable {
-	return m.clusters[m.home(m.block(addr))].res.locks
-}
-
 // lockAcquire runs a Lock reference (after the release-consistency fence).
 // Locks are queued in the directory (§7): the home records waiters using
 // the machine's directory scheme, so coarse-vector lock grants wake whole
@@ -24,7 +17,7 @@ func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 	}
 	home := m.home(m.block(addr))
 	if home == p.cl.id {
-		granted, woken := p.cl.res.locks.Acquire(addr, p.cl.id, p.id)
+		granted, woken := p.cl.locks.Acquire(addr, p.cl.id, p.id)
 		m.wakeNodes(addr, home, woken)
 		if granted {
 			m.complete(p, m.now(p.cl)+m.t.Bus)
@@ -41,7 +34,7 @@ func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 		m.txPhase(hc, tx, obs.PhReqTravel)
 		done := m.dirOp(hc, m.t.Dir)
 		m.at(hc, done, func() {
-			granted, woken := hc.res.locks.Acquire(addr, p.cl.id, p.id)
+			granted, woken := hc.locks.Acquire(addr, p.cl.id, p.id)
 			m.wakeNodes(addr, home, woken)
 			if granted {
 				m.txPhase(hc, tx, obs.PhDirWait)
@@ -61,7 +54,7 @@ func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 func (m *Machine) lockRelease(p *proc, addr int64) {
 	home := m.home(m.block(addr))
 	if home == p.cl.id {
-		g := p.cl.res.locks.Release(addr)
+		g := p.cl.locks.Release(addr)
 		m.handleGrant(addr, home, g)
 		m.complete(p, m.now(p.cl)+m.t.Bus)
 		return
@@ -70,7 +63,7 @@ func (m *Machine) lockRelease(p *proc, addr int64) {
 		hc := m.clusters[home]
 		done := m.dirOp(hc, m.t.Dir)
 		m.at(hc, done, func() {
-			g := hc.res.locks.Release(addr)
+			g := hc.locks.Release(addr)
 			m.handleGrant(addr, home, g)
 		})
 	})
@@ -102,28 +95,20 @@ func (m *Machine) handleGrant(addr int64, home int, g protocol.Grant) {
 // wakeNodes tells each node's waiters to retry acquisition. Nodes in a
 // coarse region that never had waiters still receive (and ignore) the
 // message — that traffic is the coarse vector's imprecision at work. It
-// runs at the lock's home; on the sharded core the waiter list for a
-// remote node is snapshotted here (the table lives at the home) and
-// carried inside the wake message, so the remote shard never touches the
-// home's table. A waiter that registers while the wake is in flight misses
-// this round and is woken at the next release — a timing the serial
-// engine can also produce, and identical at every shard count.
+// runs at the lock's home: the waiter list for a remote node is
+// snapshotted here (the table lives at the home) and carried inside the
+// wake message, so the remote cluster never touches the home's table. A
+// waiter that registers while the wake is in flight misses this round and
+// is woken at the next release.
 func (m *Machine) wakeNodes(addr int64, home int, nodes []core.NodeID) {
 	hc := m.clusters[home]
 	for _, w := range nodes {
-		w := w
+		ws := hc.locks.TakeWaiters(addr, w)
 		if w == home {
-			m.retryWaiters(addr, hc.res.locks.TakeWaiters(addr, w))
+			m.retryWaiters(addr, ws)
 			continue
 		}
-		if m.shard != nil {
-			ws := hc.res.locks.TakeWaiters(addr, w)
-			m.send(protocol.LockWake, home, w, func() { m.retryWaiters(addr, ws) })
-			continue
-		}
-		m.send(protocol.LockWake, home, w, func() {
-			m.retryWaiters(addr, m.lockTable(addr).TakeWaiters(addr, w))
-		})
+		m.send(protocol.LockWake, home, w, func() { m.retryWaiters(addr, ws) })
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"dircoh/internal/check"
 	"dircoh/internal/obs"
@@ -19,8 +18,10 @@ import (
 // (duplicates are counted, not executed), and a message whose timer fires
 // undelivered is re-sent with exponential backoff until the retry budget
 // runs out. A transaction the recovery machinery still cannot complete is
-// caught by the liveness watchdog below. With faults off none of this
-// exists: send takes the exact pre-fault-layer path.
+// caught by the core's liveness watchdog (see shardedCore.worker). The
+// fault model clamps the run to width 1, so the envelopes and timers all
+// live on one wheel; they are scheduled in the sending cluster's context.
+// With faults off none of this exists: send takes the plain mesh path.
 
 const (
 	// DefaultMaxRetries is the retransmit budget per message when
@@ -52,14 +53,13 @@ type netMsg struct {
 	tx        *txState // transaction for net.recovery spans, may be nil
 }
 
-// sendReliable wraps arrive in an envelope and dispatches the first
-// attempt.
-func (m *Machine) sendReliable(kind protocol.MsgKind, from, to int, tx *txState, arrive func()) {
-	now := m.eng.Now()
+// sendReliable wraps arrive in an envelope from cluster fc and dispatches
+// the first attempt.
+func (m *Machine) sendReliable(fc *clusterNode, kind protocol.MsgKind, to int, tx *txState, arrive func()) {
 	m.msgSeq++
 	env := &netMsg{
-		id: m.msgSeq, kind: kind, from: from, to: to,
-		first: now, timeout: m.baseTimeout(from, to),
+		id: m.msgSeq, kind: kind, from: fc.id, to: to,
+		first: fc.w.Now(), timeout: m.baseTimeout(fc.id, to),
 		deliver: arrive, tx: tx,
 	}
 	m.inflight[env.id] = env
@@ -76,19 +76,20 @@ func (m *Machine) baseTimeout(from, to int) sim.Time {
 	return 4*m.net.Latency(from, to) + 4*m.t.Dir + 16
 }
 
-// dispatch injects one attempt of env into the faulty mesh: the copies
-// that survive are scheduled for delivery, and a retransmit timer guards
-// the attempt. Stale timers (the attempt was superseded or the message
-// delivered) fall through timeoutMsg as no-ops.
+// dispatch injects one attempt of env into the faulty mesh from the
+// sender's context: the copies that survive are scheduled for delivery,
+// and a retransmit timer guards the attempt. Stale timers (the attempt was
+// superseded or the message delivered) fall through timeoutMsg as no-ops.
 func (m *Machine) dispatch(env *netMsg) {
+	fc, tc := m.clusters[env.from], m.clusters[env.to]
 	env.attempt++
-	env.sent = m.eng.Now()
+	env.sent = fc.w.Now()
 	arrivals, n := m.net.SendFaulty(env.sent, env.from, env.to)
 	for i := 0; i < n; i++ {
-		m.eng.At(arrivals[i], func() { m.deliverMsg(env) })
+		m.core.relay(fc, tc, arrivals[i], func() { m.deliverMsg(env) })
 	}
 	att := env.attempt
-	m.eng.At(env.sent+env.timeout, func() { m.timeoutMsg(env, att) })
+	m.at(fc, env.sent+env.timeout, func() { m.timeoutMsg(env, att) })
 }
 
 // deliverMsg runs env's handler exactly once; every further copy (a
@@ -125,18 +126,18 @@ func (m *Machine) timeoutMsg(env *netMsg, att int) {
 
 // emitRecovery annotates env.tx with one recovery episode: an async child
 // span covering the lost attempt's injection to the retry, its N carrying
-// the attempt number so tracelens can show retry-inflated tails. Fault
-// recovery only runs on the serial engine, so the sender cluster passed to
-// emitSpan is never used for shard buffering.
+// the attempt number so tracelens can show retry-inflated tails. It runs in
+// the sender's context, where the retransmit timer fired.
 func (m *Machine) emitRecovery(env *netMsg) {
 	tx := env.tx
 	if tx == nil || m.spans == nil {
 		return
 	}
-	m.emitSpan(m.clusters[env.from], obs.Span{
-		Tx: tx.id, ID: m.spans.NextID(), Parent: tx.id,
+	fc := m.clusters[env.from]
+	m.emitSpan(fc, obs.Span{
+		Tx: tx.id, ID: m.spanID(fc), Parent: tx.id,
 		Class: tx.class, Phase: obs.PhRecovery, Node: tx.node, Block: tx.block,
-		Start: uint64(env.sent), End: uint64(m.eng.Now()), N: int64(env.attempt),
+		Start: uint64(env.sent), End: uint64(fc.w.Now()), N: int64(env.attempt),
 	})
 }
 
@@ -155,46 +156,6 @@ func (e *StuckError) Error() string {
 	return "machine: " + e.Reason + "\n" + e.Dump
 }
 
-// watchdogEnabled reports whether the liveness watchdog runs (armed
-// explicitly, or defaulted on by the fault model).
-func (m *Machine) watchdogEnabled() bool { return m.cfg.StuckBudget > 0 }
-
-// watchdogScan is the periodic forward-progress check: any unfinished
-// processor idle past the budget aborts the run via m.aborted. It
-// rescans at a quarter of the budget while unfinished work remains, and
-// falls silent when every processor is done so it cannot keep the event
-// queue alive on its own.
-func (m *Machine) watchdogScan() {
-	if m.aborted != nil {
-		return
-	}
-	now := m.eng.Now()
-	budget := m.cfg.StuckBudget
-	allDone := true
-	stuck := -1
-	for _, p := range m.procs {
-		if p.done {
-			continue
-		}
-		allDone = false
-		if now-p.lastProgress > budget && stuck < 0 {
-			stuck = p.id
-		}
-	}
-	if stuck >= 0 {
-		m.abort(fmt.Sprintf("liveness watchdog: proc %d made no progress for over %d cycles (budget exceeded at t=%d)",
-			stuck, budget, now))
-		return
-	}
-	if !allDone && m.eng.Pending() > 0 {
-		step := budget / 4
-		if step == 0 {
-			step = 1
-		}
-		m.eng.After(step, m.watchdogScan)
-	}
-}
-
 // abort records the liveness failure (as a checker violation when the
 // checker is on) and arms m.aborted so the run loop stops after the
 // current event.
@@ -203,41 +164,6 @@ func (m *Machine) abort(reason string) {
 		m.chk.Violationf(check.RuleLiveness, -1, -1, uint64(m.simNow()), "%s", reason)
 	}
 	m.aborted = &StuckError{Reason: reason, Dump: m.diagnosticDump()}
-}
-
-// runEngine drives the event loop, honoring watchdog aborts and the
-// wall-clock deadline. The deadline and the live-snapshot throttle are
-// sampled every few thousand events so the time syscall never shows up in
-// profiles; neither can change simulation results.
-func (m *Machine) runEngine() error {
-	if m.watchdogEnabled() {
-		m.eng.After(m.cfg.StuckBudget, m.watchdogScan)
-	}
-	deadline := m.cfg.Deadline
-	sampleWall := deadline > 0 || m.cfg.Live != nil
-	var start, lastPub time.Time
-	if sampleWall {
-		start = time.Now()
-		lastPub = start
-	}
-	var n uint64
-	for m.aborted == nil && m.eng.Step() {
-		if sampleWall {
-			if n++; n&0x3FFF == 0 {
-				if deadline > 0 && time.Since(start) > deadline {
-					m.abort(fmt.Sprintf("wall-clock deadline %s exceeded at t=%d", deadline, m.eng.Now()))
-				}
-				if m.cfg.Live != nil && time.Since(lastPub) >= livePublishEvery {
-					m.publishLive(false)
-					lastPub = time.Now()
-				}
-			}
-		}
-	}
-	if m.aborted != nil {
-		return m.aborted
-	}
-	return nil
 }
 
 // diagnosticDump renders the machine's stuck state for StuckError.

@@ -26,8 +26,8 @@ func runObs(t *testing.T, cfg Config, w *tango.Workload, shards int) (*Result, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards > 0 && m.Shards() == 0 {
-		t.Fatalf("shards=%d fell back to serial: %s", shards, m.FallbackReason())
+	if want := max(shards, 1); m.Shards() != want {
+		t.Fatalf("shards=%d runs at width %d: %s", shards, m.Shards(), m.FallbackReason())
 	}
 	r, err := m.Run(w)
 	if err != nil {
@@ -120,8 +120,8 @@ func TestShardedObsNoPerturbation(t *testing.T) {
 }
 
 // TestLiveSnapshots: a run with a live slot attached publishes a final
-// Done sample carrying the run's metrics, on both cores; the sharded
-// sample reports one wheel time per shard.
+// Done sample carrying the run's metrics, at the default width and a wide
+// one; the sample reports one wheel time per shard.
 func TestLiveSnapshots(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		cfg := testConfig(16, FullVec)
@@ -143,7 +143,7 @@ func TestLiveSnapshots(t *testing.T) {
 		if s.Cycles == 0 || s.Events == 0 {
 			t.Fatalf("shards=%d: empty progress in final sample: %+v", shards, s)
 		}
-		if want := cfg.Shards; len(s.Shards) != want {
+		if want := max(cfg.Shards, 1); len(s.Shards) != want {
 			t.Fatalf("shards=%d: sample reports %d shard times", shards, len(s.Shards))
 		}
 		if s.Metrics.Counter("msg.readreq") == 0 {

@@ -6,7 +6,6 @@ import (
 
 	"dircoh/internal/cache"
 	"dircoh/internal/mesh"
-	"dircoh/internal/obs"
 	"dircoh/internal/protocol"
 	"dircoh/internal/sim"
 	"dircoh/internal/sparse"
@@ -44,12 +43,12 @@ type Result struct {
 // plus the exact per-count histograms the figures need. The paper's four
 // message classes are sums of the per-kind "msg.<kind>" counters; the
 // directory aggregate reads the shared "dir.*" counters (summing the
-// per-cluster directories' Stats() would double-count, since they all
-// record into the machine registry). After a sharded run the snapshot is
-// the merge of the per-cluster registries and the histograms were folded
-// together at quiescence, so the same reads work for both cores.
+// per-cluster directories' Stats() would double-count, since they record
+// into their shard's registry). Every shard merged into shard 0 at
+// quiescence, so these reads cover the whole machine at any width.
 func (m *Machine) result() *Result {
 	snap := m.MetricsSnapshot()
+	r0 := m.res[0]
 	var msgs stats.MsgCounts
 	for k := 0; k < protocol.NumMsgKinds; k++ {
 		kind := protocol.MsgKind(k)
@@ -60,13 +59,18 @@ func (m *Machine) result() *Result {
 		DirEntryBits:  m.scheme.BitsPerEntry(),
 		DirEntryBytes: m.scheme.EntryBytes(),
 		Msgs:          msgs,
-		InvalHist:     m.invalHist,
-		ReplHist:      m.replHist,
-		Net:           m.netStats(snap),
-		LockRetries:   snap.Counter("lock.retries"),
-		MergedReads:   snap.Counter("rac.merged.reads"),
-		ReadLat:       m.readLat,
-		WriteLat:      m.writeLat,
+		InvalHist:     r0.invalHist,
+		ReplHist:      r0.replHist,
+		Net: mesh.Stats{
+			Messages: snap.Counter("mesh.msgs"),
+			Hops:     snap.Counter("mesh.hops"),
+			MaxHops:  int(snap.GaugeMax["mesh.maxhops"]),
+			Stalls:   snap.Counter("mesh.stalls"),
+		},
+		LockRetries: snap.Counter("lock.retries"),
+		MergedReads: snap.Counter("rac.merged.reads"),
+		ReadLat:     r0.readLat,
+		WriteLat:    r0.writeLat,
 		Dir: sparse.Stats{
 			Lookups:      snap.Counter("dir.lookup"),
 			Hits:         snap.Counter("dir.hit"),
@@ -103,22 +107,6 @@ func (m *Machine) result() *Result {
 	}
 	r.Replacements = r.Dir.Replacements
 	return r
-}
-
-// netStats reconstructs the mesh accounting from the metrics snapshot, so
-// a sharded run (where each cluster sent through its own mesh instance)
-// reports the same machine-wide totals the serial engine reads off its
-// single mesh.
-func (m *Machine) netStats(snap obs.Snapshot) mesh.Stats {
-	if m.merged == nil {
-		return m.net.Stats()
-	}
-	return mesh.Stats{
-		Messages: snap.Counter("mesh.msgs"),
-		Hops:     snap.Counter("mesh.hops"),
-		MaxHops:  int(snap.GaugeMax["mesh.maxhops"]),
-		Stalls:   snap.Counter("mesh.stalls"),
-	}
 }
 
 // Summary renders the run in the style of the paper's figures: execution

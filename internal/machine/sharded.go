@@ -1,32 +1,37 @@
 package machine
 
-// The sharded event-wheel core: a conservative-lookahead parallel discrete
-// event simulator for the fault-free machine.
+// The machine core: a conservative-lookahead discrete-event simulator on
+// keyed timing wheels.
 //
-// Clusters are partitioned round-robin across N worker shards, each owning
-// a timing wheel (sim.Wheel). All shards advance in lockstep windows
-// [W, W+look), where look is the minimum cross-cluster mesh latency: an
-// event at time t can only affect another cluster at t+latency >= t+look,
-// so everything inside the current window is causally independent across
-// shards and can run in parallel. Cross-shard messages are buffered in
-// per-(src,dst) outboxes during a window and exchanged at the barrier; the
-// receiver inserts them keyed by (arrival time, origin cluster, origin
-// sequence), and since the wheel fires equal-time events in ascending key
-// order, the total event order — and therefore every simulation result —
-// is byte-identical at every shard count.
+// Clusters are partitioned round-robin across N shards, each owning a
+// timing wheel (sim.Wheel). Every event carries a key naming the cluster
+// that scheduled it and that cluster's event sequence, and a wheel fires
+// equal-time events in ascending key order, so the total (time, key)
+// event order depends only on per-cluster scheduling order. Width 1 — the
+// default — steps one wheel in that order on the calling goroutine.
 //
-// Observability shards with the simulation: every cluster records metrics
-// into its private registry (merged at quiescence), and trace events and
-// spans are buffered per shard with (time, key) stamps and replayed in the
-// canonical global order — see shardobs.go — so metrics, traces, spans,
-// and queue-depth samples are byte-identical at every shard width.
+// Wider runs advance all shards in lockstep windows [W, W+look), where
+// look is the minimum cross-cluster mesh latency: an event at time t can
+// only affect another cluster at t+latency >= t+look, so everything inside
+// the current window is causally independent across shards and can run in
+// parallel. Cross-shard messages are buffered in per-(src,dst) outboxes
+// during a window and exchanged at the barrier; the receiver inserts them
+// with their original keys, so the event order — and therefore every
+// simulation result — is byte-identical at every width. Width 1 walks the
+// same window boundaries without barriers, which is where the liveness
+// watchdog and the sampling stop rule decide, so their verdicts match
+// wider runs too.
 //
-// Configurations the core cannot honor (anything that shares mutable state
-// across clusters outside this protocol: fault injection, the invariant
-// checker, mesh port contention, deliberate protocol faults, or a latency
-// model where a reply can tie with the acknowledgements it logically
-// precedes) fall back to the serial heap engine; Machine.FallbackReason
-// says why.
+// Observability shards with the simulation: every shard records metrics
+// into its own registry (merged at quiescence), and on wider runs trace
+// events and spans are buffered per shard with (time, key) stamps and
+// replayed in the canonical order — see shardobs.go.
+//
+// Configurations that share mutable state across clusters outside this
+// protocol — fault injection and delivery recovery, the invariant checker,
+// mesh port contention, deliberate protocol faults — clamp to width 1,
+// where that state has a single writer; Machine.FallbackReason names the
+// flag.
 
 import (
 	"fmt"
@@ -35,94 +40,31 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dircoh/internal/mesh"
 	"dircoh/internal/obs"
-	"dircoh/internal/protocol"
 	"dircoh/internal/sim"
-	"dircoh/internal/stats"
 )
 
 // never is the "no pending event" sentinel for window arithmetic.
 const never = ^sim.Time(0)
 
-// shardBlockReason reports why cfg cannot run on the sharded core, or ""
-// when it can. Called after New has applied timing/mesh defaults. Each
-// message names the offending flag and the workaround. Observability
-// (tracing, spans, sampling, external metrics) never blocks sharding: the
-// per-shard buffers and registry merge reproduce the serial byte stream.
-func shardBlockReason(cfg *Config) string {
+// clampReason reports why cfg must run at width 1, or "" when any width
+// works. Called after New has applied timing and mesh defaults. Each
+// message names the offending flag. Observability (tracing, spans,
+// sampling, external metrics) never clamps: the per-shard buffers and
+// registry merge reproduce the width-1 byte stream.
+func clampReason(cfg *Config) string {
+	const clamp = "clamped to width 1: "
 	switch {
 	case cfg.Mesh.Faults.Enabled():
-		return "fault injection enabled (-faults): delivery recovery tracks in-flight messages machine-wide; drop -faults or run serial with -shards 0"
+		return clamp + "fault injection (-faults): delivery recovery tracks in-flight messages machine-wide"
 	case cfg.Check:
-		return "invariant checker enabled (-check): the checker oracle reads machine-wide state at every transition; drop -check or run serial with -shards 0"
+		return clamp + "invariant checker (-check): the checker reads machine-wide state at every transition"
 	case cfg.Mesh.PortTime > 0:
-		return "mesh port contention modeled (mesh PortTime > 0): ejection ports serialize arrivals across shards; set PortTime to 0 or run serial with -shards 0"
+		return clamp + "mesh port contention (mesh PortTime > 0): ejection ports serialize arrivals from every cluster"
 	case cfg.Fault != FaultNone:
-		return "deliberate protocol fault injected (-fault): fault mutations perturb cross-cluster state; drop -fault or run serial with -shards 0"
-	case cfg.Timing.InvalBus == 0 && cfg.Mesh.Base == 0:
-		// With both zero an ownership reply can tie with an invalidation
-		// acknowledgement, and the reply-carried ack count would go
-		// negative if the ack fires first.
-		return "degenerate timing (InvalBus and Mesh.Base both zero) lets a reply tie with the acks it must precede; use nonzero timing or run serial with -shards 0"
+		return clamp + "protocol fault (-fault): the mutation is a single machine-wide shot"
 	}
 	return ""
-}
-
-// newClusterRes builds one cluster's private facility bundle for a sharded
-// run: its own registry, mesh accounting instance, scheme instance (some
-// schemes carry per-instance RNG state), lock and barrier tables, and
-// figure histograms. Names match the shared serial registry exactly so the
-// per-cluster snapshots merge back into the same metric namespace.
-func newClusterRes(cfg *Config, clusters int) *clusterRes {
-	reg := obs.NewRegistry()
-	mc := cfg.Mesh
-	mc.Metrics = reg
-	scheme, err := cfg.Scheme(clusters)
-	if err != nil {
-		// Config.Validate already ran the factory once; factories are
-		// deterministic, so failing here is a program bug, not input.
-		panic(err)
-	}
-	res := &clusterRes{
-		reg:         reg,
-		net:         mesh.New(mc),
-		scheme:      scheme,
-		lockRetries: reg.Counter("lock.retries"),
-		mergedReads: reg.Counter("rac.merged.reads"),
-		extraInval:  reg.Counter("dir.inval.extraneous"),
-		invalFan:    reg.Histogram("dir.inval.fanout", nil),
-		replFan:     reg.Histogram("dir.repl.fanout", nil),
-		invalHist:   &stats.Histogram{},
-		replHist:    &stats.Histogram{},
-		readLat:     &stats.LatHist{},
-		writeLat:    &stats.LatHist{},
-	}
-	res.locks = protocol.NewLockTable(res.scheme)
-	res.barriers = protocol.NewBarrierTable(cfg.Procs)
-	for k := range res.kindCtr {
-		res.kindCtr[k] = reg.Counter(protocol.MsgKind(k).MetricName())
-	}
-	res.initObsHists(cfg)
-	return res
-}
-
-// initObsHists registers the transaction-latency and queue-depth
-// histograms in the bundle's registry when the corresponding feature is
-// on. The conditionals keep the metric namespace identical across cores
-// and widths: a disabled feature must contribute no zero-valued series to
-// the merged snapshot.
-func (r *clusterRes) initObsHists(cfg *Config) {
-	if cfg.Spans != nil {
-		for c := range r.txLat {
-			r.txLat[c] = r.reg.Histogram("tx.lat."+obs.TxClass(c).String(), obs.LatBuckets)
-		}
-	}
-	if cfg.SampleEvery > 0 {
-		r.dirDepth = r.reg.Histogram("dir.queue.depth", obs.QueueBuckets)
-		r.dirLive = r.reg.Histogram("dir.entries.live", obs.QueueBuckets)
-		r.portDepth = r.reg.Histogram("mesh.port.backlog", obs.QueueBuckets)
-	}
 }
 
 // relayEv is one cross-shard event in transit through an outbox.
@@ -132,7 +74,7 @@ type relayEv struct {
 	fn  sim.Event
 }
 
-// shardedCore drives the parallel run.
+// shardedCore drives the run.
 type shardedCore struct {
 	m      *Machine
 	n      int
@@ -145,15 +87,18 @@ type shardedCore struct {
 	// barrier-separated.
 	out [][][]relayEv
 
-	// nextT[s] is shard s's earliest pending event after the exchange;
-	// every worker computes the identical next window from it.
+	// nextT[s] is shard s's earliest pending event after the exchange, and
+	// busy[s] whether it has any pending event besides its sampling chain;
+	// every worker computes the identical next window from them.
 	nextT []sim.Time
+	busy  []bool
 
-	// obsBuf[s] is shard s's private trace-event and span buffer cell,
-	// stamped with firing positions and merged into the canonical order at
-	// quiescence (shardobs.go). Only shard s appends; the merge runs after
-	// the workers join. Cells are cache-line padded: appends rewrite the
-	// slice headers constantly, and adjacent headers would false-share.
+	// obsBuf[s] is shard s's private trace-event and span buffer cell on
+	// runs wider than 1, stamped with firing positions and merged into the
+	// canonical order at quiescence (shardobs.go). Only shard s appends;
+	// the merge runs after the workers join. Cells are cache-line padded:
+	// appends rewrite the slice headers constantly, and adjacent headers
+	// would false-share.
 	obsBuf []shardObsCell
 
 	barrier  spinBarrier
@@ -171,33 +116,27 @@ type shardedCore struct {
 }
 
 func newShardedCore(m *Machine, n int) *shardedCore {
-	clusters := len(m.clusters)
-	look := never
-	for a := 0; a < clusters; a++ {
-		for b := 0; b < clusters; b++ {
-			if a != b {
-				if l := m.net.Latency(a, b); l < look {
-					look = l
-				}
-			}
-		}
+	// Dimension-ordered routing makes the latency between two adjacent
+	// nodes the minimum over distinct pairs, and nodes 0 and 1 are adjacent
+	// in every mesh of two or more nodes.
+	look := sim.Time(1) // one cluster: no cross-cluster traffic exists
+	if m.net.Nodes() > 1 {
+		look = m.net.Latency(0, 1)
 	}
-	if clusters == 1 {
-		look = 1 // no cross-cluster traffic exists; any positive window works
-	}
-	if look == 0 || look == never {
-		panic("machine: sharded core needs a positive minimum mesh latency")
+	if look == 0 {
+		panic("machine: the core needs a positive minimum mesh latency")
 	}
 	s := &shardedCore{
-		m:        m,
-		n:        n,
-		look:     look,
-		wheels:   make([]*sim.Wheel, n),
-		out:      make([][][]relayEv, n),
-		nextT:    make([]sim.Time, n),
-		obsBuf:   make([]shardObsCell, n),
-		deadline: m.cfg.Deadline,
-		budget:   m.cfg.StuckBudget,
+		m:      m,
+		n:      n,
+		look:   look,
+		wheels: make([]*sim.Wheel, n),
+		out:    make([][][]relayEv, n),
+		nextT:  make([]sim.Time, n),
+		busy:   make([]bool, n),
+	}
+	if n > 1 {
+		s.obsBuf = make([]shardObsCell, n)
 	}
 	for i := range s.wheels {
 		s.wheels[i] = sim.NewWheel(0)
@@ -213,13 +152,13 @@ func newShardedCore(m *Machine, n int) *shardedCore {
 // outbox and must lie beyond the conservative lookahead.
 func (s *shardedCore) relay(from, to *clusterNode, t sim.Time, fn sim.Event) {
 	key := from.nextKey()
-	if to.shard == from.shard {
-		s.wheels[from.shard].AtKey(t, key, fn)
+	if to.w == from.w {
+		from.w.AtKey(t, key, fn)
 		return
 	}
-	if t < s.wheels[from.shard].Now()+s.look {
+	if t < from.w.Now()+s.look {
 		panic(fmt.Sprintf("machine: cross-shard event at t=%d inside the lookahead window (now=%d, look=%d)",
-			t, s.wheels[from.shard].Now(), s.look))
+			t, from.w.Now(), s.look))
 	}
 	s.out[from.shard][to.shard] = append(s.out[from.shard][to.shard], relayEv{at: t, key: key, fn: fn})
 }
@@ -227,12 +166,10 @@ func (s *shardedCore) relay(from, to *clusterNode, t sim.Time, fn sim.Event) {
 // run executes the window loop to completion (or abort) and reports the
 // abort error, if any.
 func (s *shardedCore) run() error {
-	for i, w := range s.wheels {
-		if t, ok := w.NextTime(); ok {
-			s.nextT[i] = t
-		} else {
-			s.nextT[i] = never
-		}
+	s.deadline = s.m.cfg.Deadline
+	s.budget = s.m.cfg.StuckBudget
+	for i := range s.wheels {
+		s.publish(i)
 	}
 	if s.deadline > 0 {
 		s.start = time.Now()
@@ -260,12 +197,34 @@ func (s *shardedCore) run() error {
 	return nil
 }
 
+// publish records shard id's next event time and whether anything but
+// its sampling chain is pending — the inputs of the next window.
+func (s *shardedCore) publish(id int) {
+	w := s.wheels[id]
+	s.nextT[id] = never
+	if t, ok := w.NextTime(); ok {
+		s.nextT[id] = t
+	}
+	sampler := 0
+	if s.m.cfg.SampleEvery > 0 {
+		sampler = 1
+	}
+	s.busy[id] = w.Pending() > sampler
+}
+
+// wallEvery is how many windows pass between worker 0's wall-clock reads
+// for the deadline and the live-publish throttle, keeping the clock read
+// off the per-window path.
+const wallEvery = 64
+
 // worker is one shard's loop. Each iteration: every worker independently
-// computes the identical next window from the shared nextT array (and the
-// identical watchdog verdict, so all workers stop together without any
-// shared decision variable), runs its wheel through the window, then
-// exchanges outboxes and republishes its next event time between two
-// barriers.
+// computes the identical next window from the shared nextT and busy arrays
+// (and the identical watchdog verdict, so all workers stop together
+// without any shared decision variable), runs its wheel through the
+// window, then exchanges outboxes and republishes its next event time
+// between two barriers. The run ends when no event is pending, or when
+// only sampling chains are: they read state without changing it, so no
+// processor can make progress any more.
 //
 // Memory discipline: processor and cluster state is only written while a
 // shard runs its wheel (between the loop top and the first barrier), and
@@ -277,14 +236,13 @@ func (s *shardedCore) run() error {
 func (s *shardedCore) worker(id int) {
 	m := s.m
 	limit, stuck := s.wdLimit, s.wdStuck
-	for {
-		window := never
-		for _, t := range s.nextT {
-			if t < window {
-				window = t
-			}
+	for iter := 1; ; iter++ {
+		window, busy := never, false
+		for i, t := range s.nextT {
+			window = min(window, t)
+			busy = busy || s.busy[i]
 		}
-		if window == never {
+		if window == never || !busy {
 			return
 		}
 		if s.wallHit {
@@ -295,18 +253,16 @@ func (s *shardedCore) worker(id int) {
 		}
 		if s.budget > 0 && window > limit {
 			// Deterministic liveness watchdog: the next window starting
-			// more than a budget past a processor's last progress is the
-			// sharded equivalent of the serial watchdog's periodic scan
-			// firing during the idle gap.
+			// more than a budget past a processor's last progress.
 			if id == 0 {
 				m.abort(fmt.Sprintf("liveness watchdog: proc %d made no progress for over %d cycles (budget exceeded at t=%d)",
 					stuck, s.budget, window))
 			}
 			return
 		}
-		s.wheels[id].RunUntil(window + s.look - 1)
-		s.barrier.wait()
 		w := s.wheels[id]
+		w.RunUntil(window + s.look - 1)
+		s.barrier.wait()
 		for src := range s.out {
 			box := s.out[src][id]
 			if len(box) == 0 {
@@ -317,23 +273,21 @@ func (s *shardedCore) worker(id int) {
 			}
 			s.out[src][id] = box[:0]
 		}
-		if t, ok := w.NextTime(); ok {
-			s.nextT[id] = t
-		} else {
-			s.nextT[id] = never
-		}
+		s.publish(id)
 		if s.budget > 0 {
 			limit, stuck = s.watchdogScan()
 		}
-		if id == 0 && s.deadline > 0 && time.Since(s.start) > s.deadline {
-			s.wallHit = true
-		}
-		if id == 0 && m.cfg.Live != nil && time.Since(s.lastPub) >= livePublishEvery {
-			// Between the barriers every shard is quiescent, so worker 0
-			// can read all per-cluster registries for a consistent live
-			// snapshot.
-			m.publishLive(false)
-			s.lastPub = time.Now()
+		if id == 0 && iter%wallEvery == 0 {
+			if s.deadline > 0 && time.Since(s.start) > s.deadline {
+				s.wallHit = true
+			}
+			if m.cfg.Live != nil && time.Since(s.lastPub) >= livePublishEvery {
+				// Between the barriers every shard is quiescent, so worker 0
+				// can read all shard registries for a consistent live
+				// snapshot.
+				m.publishLive(false)
+				s.lastPub = time.Now()
+			}
 		}
 		s.barrier.wait()
 	}
@@ -346,6 +300,9 @@ func (s *shardedCore) worker(id int) {
 // state (before the workers start, or between the exchange barriers).
 func (s *shardedCore) watchdogScan() (limit sim.Time, stuck int) {
 	limit, stuck = never, -1
+	if s.budget == 0 {
+		return limit, stuck
+	}
 	for _, p := range s.m.procs {
 		if p.done {
 			continue
@@ -358,89 +315,80 @@ func (s *shardedCore) watchdogScan() (limit sim.Time, stuck int) {
 	return limit, stuck
 }
 
-// runCore drives the machine's event processing to completion on whichever
-// core the configuration selected.
-func (m *Machine) runCore() error {
-	if m.shard != nil {
-		if err := m.shard.run(); err != nil {
-			return err
-		}
-		m.finalizeSharded()
-		return nil
+// settle runs once the core stops: it replays the per-shard trace and span
+// buffers in canonical order, folds every shard's registry and histograms
+// into shard 0's — the machine's registry, which is Config.Metrics when
+// the caller supplied one — and folds the per-cluster gauges in. Counter
+// sums and bucket-wise histogram merges are order-independent, so the
+// result is deterministic and independent of the width.
+func (m *Machine) settle() {
+	if m.core.n > 1 {
+		m.flushShardObs()
 	}
-	return m.runEngine()
+	r0 := m.res[0]
+	for _, r := range m.res[1:] {
+		r0.reg.Merge(r.reg)
+		r0.invalHist.Merge(&r.invalHist)
+		r0.replHist.Merge(&r.replHist)
+		r0.readLat.Merge(&r.readLat)
+		r0.writeLat.Merge(&r.writeLat)
+	}
+	m.foldGauges(m.reg)
+	m.settled = true
 }
 
-// finalizeSharded folds the per-cluster registries and histograms into the
-// machine-level views Result and MetricsSnapshot read, and replays the
-// per-shard trace/span buffers in canonical order. The registries merge
-// into m.reg itself — which is Config.Metrics when the caller supplied an
-// external registry, so external registries see sharded runs exactly as
-// they see serial ones. Counter sums and bucket-wise histogram merges are
-// order-independent, so the result is deterministic.
-func (m *Machine) finalizeSharded() {
-	m.flushShardObs()
+// foldGauges folds the per-cluster RAC occupancy gauges into reg and
+// reports mesh.maxhops as the high-water mark it is: merging gauges sums
+// their levels, which means nothing for a mark, so its level is set to
+// the mark at every width.
+func (m *Machine) foldGauges(reg *obs.Registry) {
+	rp := reg.Gauge("rac.pending")
 	for _, c := range m.clusters {
-		m.reg.Merge(c.res.reg)
-		m.invalHist.Merge(c.res.invalHist)
-		m.replHist.Merge(c.res.replHist)
-		m.readLat.Merge(c.res.readLat)
-		m.writeLat.Merge(c.res.writeLat)
+		rp.Merge(&c.racPend)
 	}
-	merged := m.reg.Snapshot()
-	m.merged = &merged
+	mh := reg.Gauge("mesh.maxhops")
+	mh.Set(mh.Max())
 }
 
-// simNow returns the machine's current (or final) simulation time across
-// cores: the serial engine's clock, or the furthest shard wheel.
+// simNow returns the machine's current (or final) simulation time: the
+// furthest shard wheel.
 func (m *Machine) simNow() sim.Time {
-	if s := m.shard; s != nil {
-		var t sim.Time
-		for _, w := range s.wheels {
-			if w.Now() > t {
-				t = w.Now()
-			}
-		}
-		return t
+	var t sim.Time
+	for _, w := range m.core.wheels {
+		t = max(t, w.Now())
 	}
-	return m.eng.Now()
+	return t
 }
 
-// simFired returns total events executed across cores.
+// simFired returns the total events executed.
 func (m *Machine) simFired() uint64 {
-	if s := m.shard; s != nil {
-		var n uint64
-		for _, w := range s.wheels {
-			n += w.Fired()
-		}
-		return n
+	var n uint64
+	for _, w := range m.core.wheels {
+		n += w.Fired()
 	}
-	return m.eng.Fired()
+	return n
 }
 
-// simPending returns total scheduled-but-unfired events across cores
-// (outbox events in transit included).
+// simPending returns the total scheduled-but-unfired events (outbox events
+// in transit included).
 func (m *Machine) simPending() int {
-	if s := m.shard; s != nil {
-		n := 0
-		for _, w := range s.wheels {
-			n += w.Pending()
-		}
-		for _, row := range s.out {
-			for _, box := range row {
-				n += len(box)
-			}
-		}
-		return n
+	n := 0
+	for _, w := range m.core.wheels {
+		n += w.Pending()
 	}
-	return m.eng.Pending()
+	for _, row := range m.core.out {
+		for _, box := range row {
+			n += len(box)
+		}
+	}
+	return n
 }
 
 // spinBarrier is a sense-reversing spin barrier. Windows are short (often
 // a handful of events), so parking on a sync primitive per phase would
 // dominate the run; spinning with periodic yields keeps the barrier in the
 // tens-of-nanoseconds range. All operations go through sync/atomic, so the
-// race detector understands the ordering.
+// race detector understands the ordering. With one party it is a no-op.
 type spinBarrier struct {
 	parties int32
 	count   atomic.Int32

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"dircoh/internal/mesh"
 	"dircoh/internal/obs"
 	"dircoh/internal/sparse"
 	"dircoh/internal/tango"
@@ -56,8 +57,8 @@ func runSharded(t *testing.T, cfg Config, w *tango.Workload, shards int) (*Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shards > 0 && m.Shards() == 0 {
-		t.Fatalf("shards=%d fell back to serial: %s", shards, m.FallbackReason())
+	if want := max(shards, 1); m.Shards() != want {
+		t.Fatalf("shards=%d runs at width %d: %s", shards, m.Shards(), m.FallbackReason())
 	}
 	r, err := m.Run(w)
 	if err != nil {
@@ -127,8 +128,8 @@ func TestShardedWidthIndependence(t *testing.T) {
 }
 
 // TestShardedFigureWorkloadDeterminism repeats a sharded run and demands
-// bit-identical results — the same run-to-run determinism the serial
-// engine guarantees, now with goroutines in the loop.
+// bit-identical results — run-to-run determinism with goroutines in the
+// loop.
 func TestShardedFigureWorkloadDeterminism(t *testing.T) {
 	cfg := testConfig(32, CoarseVec2)
 	cfg.Seed = 7
@@ -161,40 +162,48 @@ func TestShardedSingleCluster(t *testing.T) {
 	}
 }
 
-// TestShardedFallbackReasons: every configuration the sharded core cannot
-// honor must fall back to the serial engine with a reason naming the
-// offending flag and a workaround — and observability features, which the
-// core now shards, must NOT fall back.
-func TestShardedFallbackReasons(t *testing.T) {
+// TestClampToWidthOne: every configuration that shares mutable state
+// across clusters — the checker, mesh port contention, a protocol fault and
+// network fault injection — must run at width 1 on the same core when a
+// wider run is requested, with a reason naming the flag. Observability
+// features, which the core shards, must not clamp.
+func TestClampToWidthOne(t *testing.T) {
 	mk := func(mut func(*Config)) Config {
 		cfg := testConfig(4, FullVec)
 		cfg.Shards = 2
 		mut(&cfg)
 		return cfg
 	}
-	blocked := map[string]Config{
-		"checker":  mk(func(c *Config) { c.Check = true }),
-		"porttime": mk(func(c *Config) { c.Mesh.PortTime = 2 }),
-		"fault":    mk(func(c *Config) { c.Fault = FaultDropInval }),
+	clamped := []struct {
+		name, flag string
+		cfg        Config
+	}{
+		{"checker", "(-check)", mk(func(c *Config) { c.Check = true })},
+		{"porttime", "PortTime", mk(func(c *Config) { c.Mesh.PortTime = 2 })},
+		{"fault", "(-fault)", mk(func(c *Config) { c.Fault = FaultDropInval })},
+		{"faults", "(-faults)", mk(func(c *Config) { c.Mesh.Faults = mesh.FaultConfig{Drop: 0.05, Dup: 0.05} })},
 	}
-	for name, cfg := range blocked {
-		m, err := New(cfg)
+	for _, c := range clamped {
+		m, err := New(c.cfg)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if m.Shards() != 0 {
-			t.Errorf("%s: expected serial fallback, running with %d shards", name, m.Shards())
+		if m.Shards() != 1 {
+			t.Errorf("%s: running with %d shards, want a clamp to 1", c.name, m.Shards())
 		}
 		reason := m.FallbackReason()
-		if reason == "" {
-			t.Errorf("%s: fallback with no reason", name)
+		if !strings.Contains(reason, c.flag) {
+			t.Errorf("%s: reason %q does not name %s", c.name, reason, c.flag)
 		}
-		if !strings.Contains(reason, "-shards 0") {
-			t.Errorf("%s: reason %q names no workaround", name, reason)
+		if strings.Contains(reason, "-shards") {
+			t.Errorf("%s: reason %q gives -shards advice", c.name, reason)
+		}
+		if _, err := m.Run(stressWorkload(5, c.cfg.Procs, 80, 16, true)); err != nil {
+			t.Errorf("%s: clamped run failed: %v", c.name, err)
 		}
 	}
 	// Observability configurations shard (the whole point of the per-shard
-	// recording cells), as does a plain sharded config.
+	// recording cells), as does a plain config.
 	sharded := map[string]Config{
 		"clean":    mk(func(*Config) {}),
 		"trace":    mk(func(c *Config) { c.Trace = obs.NewTracer(obs.Discard, 0) }),
@@ -213,9 +222,63 @@ func TestShardedFallbackReasons(t *testing.T) {
 	}
 }
 
-// TestShardedWatchdog: the deterministic sharded watchdog must abort a
-// wedged run (a processor waiting on a lock that is never released) the
-// same way the serial one does, with a diagnostic dump.
+// TestZeroShardsIsWidthOne: the zero Config.Shards is the default width 1,
+// with nothing to report, and runs exactly like an explicit width 1.
+func TestZeroShardsIsWidthOne(t *testing.T) {
+	cfg := testConfig(8, CoarseVec2)
+	cfg.Seed = 31
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Shards() != 1 || m.FallbackReason() != "" {
+		t.Fatalf("zero Shards: Shards()=%d reason=%q, want width 1 and no reason", m.Shards(), m.FallbackReason())
+	}
+	w := stressWorkload(31, cfg.Procs, 100, 32, true)
+	r0, txt0 := runSharded(t, cfg, w, 0)
+	r1, txt1 := runSharded(t, cfg, w, 1)
+	if !reflect.DeepEqual(r0, r1) || txt0 != txt1 {
+		t.Fatal("zero Shards differs from an explicit width 1")
+	}
+}
+
+// TestDegenerateTiming: with InvalBus and Mesh.Base both zero an
+// invalidation acknowledgement can tie with — or, ordered by key, fire
+// before — the ownership reply carrying its count. The held-ack path must
+// keep the run clean (no negative ack count) and width-independent.
+func TestDegenerateTiming(t *testing.T) {
+	cfg := testConfig(8, Broadcast)
+	cfg.Seed = 77
+	cfg.Timing.InvalBus = 0
+	cfg.Mesh = mesh.Config{Base: 0, PerHop: 2}
+	w := stressWorkload(77, cfg.Procs, 150, 12, true)
+	base, baseTxt := runSharded(t, cfg, w, 1)
+	for _, shards := range []int{2, 4} {
+		r, txt := runSharded(t, cfg, w, shards)
+		if !reflect.DeepEqual(base, r) || txt != baseTxt {
+			t.Errorf("degenerate timing: shards=%d differs from width 1", shards)
+		}
+	}
+	cfg.Check = true
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckErr(); err != nil {
+		t.Fatalf("degenerate timing under the checker: %v", err)
+	}
+	if !reflect.DeepEqual(base, r) {
+		t.Errorf("degenerate timing: the checker changed the result:\n  %s\n  %s", base.Summary(), r.Summary())
+	}
+}
+
+// TestShardedWatchdog: the deterministic watchdog must abort a wedged run
+// (a processor waiting on a lock that is never released) with a
+// diagnostic dump at a wide width, as it does at width 1.
 func TestShardedWatchdog(t *testing.T) {
 	cfg := testConfig(2, FullVec)
 	cfg.Shards = 2
@@ -239,9 +302,32 @@ func TestShardedWatchdog(t *testing.T) {
 	}
 }
 
-// BenchmarkMachineParallel compares the sharded core's throughput across
-// widths on a 64-processor machine — the BENCH trajectory's
-// cycles-per-second source.
+// TestSamplingStopsOnDeadlock: a workload that can never finish (a lock
+// that is never released) with queue sampling on and no watchdog budget
+// must end with the deadlock error rather than sample forever — the core
+// stops once only sampling chains are pending — at width 1 and wider.
+func TestSamplingStopsOnDeadlock(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		cfg := testConfig(2, FullVec)
+		cfg.Shards = shards
+		cfg.SampleEvery = 16
+		var b0, b1 tango.Builder
+		b0.Lock(addr(100))
+		b1.Lock(addr(100))
+		b1.Unlock(addr(100))
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run(wl(b0.Refs(), b1.Refs()))
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("shards=%d: wedged sampled run returned %v, want the deadlock error", shards, err)
+		}
+	}
+}
+
+// BenchmarkMachineParallel compares the core's throughput across widths
+// on a 64-processor machine — the width-scaling probe.
 func BenchmarkMachineParallel(b *testing.B) {
 	const procs = 64
 	for _, shards := range []int{1, 2, 4, 8} {

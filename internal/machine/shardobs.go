@@ -1,9 +1,9 @@
 package machine
 
-// Shard-safe observability for the sharded event-wheel core.
+// Shard-safe observability for runs wider than one shard.
 //
-// The serial engine emits traces and spans in the order its heap fires
-// events. The sharded core cannot: shards interleave nondeterministically
+// Width 1 emits traces and spans directly, in the order its one wheel
+// fires events. Wider runs cannot: shards interleave nondeterministically
 // in wall-clock time. Instead, each shard appends its records to a private
 // buffer, stamping every record with the firing event's (wheel time,
 // ordering key) position. Keys are globally unique (cluster id in the high
@@ -18,11 +18,6 @@ package machine
 // Records a single callback emits share one stamp; they stay adjacent in
 // one buffer and the merge preserves their relative order (ties across
 // buffers cannot happen because keys are globally unique).
-//
-// Note the serial heap engine (-shards 0) resolves equal-time ties by
-// insertion order, not by key, so its event interleaving — and hence its
-// observability byte stream — legitimately differs from the sharded
-// widths. Width 1 is the canonical sharded order; see DESIGN.md.
 
 import (
 	"sync"
@@ -145,9 +140,9 @@ func (c *spCursor) head() *keyedSpan {
 
 // flushShardObs replays the per-shard trace and span buffers into the
 // machine's recorders in canonical (time, key) order. Called once at
-// sharded quiescence, before the registries merge.
+// quiescence on runs wider than 1, before the registries merge.
 func (m *Machine) flushShardObs() {
-	s := m.shard
+	s := m.core
 	var wg sync.WaitGroup
 	if m.tr != nil && m.spans != nil {
 		// The two merges touch disjoint recorders; overlap them.
@@ -220,7 +215,7 @@ func (m *Machine) flushShardObs() {
 // mergeShardSpans is flushShardObs's span half: the k-way (time, key)
 // merge of the per-shard span buffers into the machine recorder.
 func (m *Machine) mergeShardSpans() {
-	s := m.shard
+	s := m.core
 	cur := make([]spCursor, s.n)
 	heads := make([]*keyedSpan, s.n)
 	live := 0
@@ -259,35 +254,37 @@ func (m *Machine) mergeShardSpans() {
 	}
 }
 
-// sampleCluster is the sharded core's per-cluster queue-depth sampler: the
-// counterpart of the serial sampleQueues, split so each cluster's chain
-// reads only that cluster's state and records into that cluster's private
-// histograms (merged at quiescence). The chain is scheduled on the
-// reserved ordering key cluster<<40|0 — below every real event key, never
-// consumed by nextKey — so enabling sampling shifts no protocol event's
-// position and results stay byte-identical across widths.
-//
-// The chain continues while any of the cluster's own processors is
-// unfinished (a width-independent condition; the wheel's Pending count is
-// not). A genuinely deadlocked run with no watchdog budget would sample
-// forever — but genuine deadlocks require fault injection, which forces
-// the serial engine, and the sharded tests always set a budget.
-func (m *Machine) sampleCluster(c *clusterNode) {
-	w := m.shard.wheels[c.shard]
-	now := w.Now()
-	var backlog sim.Time
-	if c.dirFree > now {
-		backlog = c.dirFree - now
-	}
-	c.res.dirDepth.Observe(uint64(backlog))
-	c.res.dirLive.Observe(uint64(c.dir.LiveEntries()))
-	c.res.portDepth.Observe(uint64(c.res.net.PortBacklog(c.id, now)))
-	for _, p := range c.procs {
-		if !p.done {
-			w.AtKey(now+m.cfg.SampleEvery, uint64(c.id)<<40, func() { m.sampleCluster(c) })
-			return
+// scheduleSample schedules shard s's next queue-depth sample at t, on the
+// reserved ordering key 0 — below every real event key (cluster 0's
+// sequence starts at 1) — so the sample fires before any event of cycle t
+// and enabling sampling shifts no protocol event's position.
+func (m *Machine) scheduleSample(s int, t sim.Time) {
+	m.core.wheels[s].AtKey(t, 0, func() { m.sampleShard(s) })
+}
+
+// sampleShard is the periodic queue-depth sampler (Config.SampleEvery): it
+// reads each of shard s's clusters' directory-controller backlog, live
+// directory entries and network ejection-port backlog at the start of the
+// cycle, and records into the shard's histograms (merged at quiescence).
+// Every event that changes a cluster's state runs on that cluster's shard,
+// so the state at the start of a cycle, and therefore every sample, is the
+// same at any width; sampling only reads, so it never changes results. The
+// chain reschedules itself unconditionally; the core stops the run once
+// only sampling chains are pending (see shardedCore.worker).
+func (m *Machine) sampleShard(s int) {
+	res := m.res[s]
+	now := m.core.wheels[s].Now()
+	for c := s; c < len(m.clusters); c += m.core.n {
+		cl := m.clusters[c]
+		var backlog sim.Time
+		if cl.dirFree > now {
+			backlog = cl.dirFree - now
 		}
+		res.dirDepth.Observe(uint64(backlog))
+		res.dirLive.Observe(uint64(cl.dir.LiveEntries()))
+		res.portDepth.Observe(uint64(res.net.PortBacklog(c, now)))
 	}
+	m.scheduleSample(s, now+m.cfg.SampleEvery)
 }
 
 // livePublishEvery throttles in-run snapshot publishing: a sample per
@@ -296,19 +293,19 @@ func (m *Machine) sampleCluster(c *clusterNode) {
 const livePublishEvery = 100 * time.Millisecond
 
 // liveMetrics returns the registry view a live snapshot should carry: the
-// final merged snapshot when available, a read-only merge of the
-// per-cluster registries mid-run on the sharded core (callers must hold
-// the run quiescent — worker 0 publishes between the window barriers), and
-// the plain registry otherwise.
+// settled registry once the run has finished, and before that a read-only
+// merge of the shard registries and cluster gauges (callers must hold the
+// run quiescent — worker 0 publishes between the window barriers).
 func (m *Machine) liveMetrics() obs.Snapshot {
-	if m.shard != nil && m.merged == nil {
-		snaps := make([]obs.Snapshot, 0, len(m.clusters))
-		for _, c := range m.clusters {
-			snaps = append(snaps, c.res.reg.Snapshot())
-		}
-		return obs.MergeSnapshots(snaps...)
+	if m.settled {
+		return m.reg.Snapshot()
 	}
-	return m.MetricsSnapshot()
+	r := obs.NewRegistry()
+	for _, res := range m.res {
+		r.Merge(res.reg)
+	}
+	m.foldGauges(r)
+	return r.Snapshot()
 }
 
 // publishLive installs a fresh sample in the run's live slot, if one is
@@ -319,20 +316,17 @@ func (m *Machine) publishLive(done bool) {
 		return
 	}
 	s := &obs.LiveSample{
-		Cycles:  uint64(m.simNow()),
 		Events:  m.simFired(),
 		Done:    done,
 		Metrics: m.liveMetrics(),
+		Shards:  make([]uint64, m.core.n),
 	}
-	if sh := m.shard; sh != nil {
-		s.Shards = make([]uint64, sh.n)
-		for i, w := range sh.wheels {
-			s.Shards[i] = uint64(w.Now())
-			// Report the trailing shard as the simulation's reached time:
-			// ahead-of-window wheel times are speculative progress.
-			if i == 0 || s.Shards[i] < s.Cycles {
-				s.Cycles = s.Shards[i]
-			}
+	for i, w := range m.core.wheels {
+		s.Shards[i] = uint64(w.Now())
+		// Report the trailing shard as the simulation's reached time:
+		// ahead-of-window wheel times are speculative progress.
+		if i == 0 || s.Shards[i] < s.Cycles {
+			s.Cycles = s.Shards[i]
 		}
 	}
 	lr.Publish(s)

@@ -59,7 +59,9 @@ func (m *Machine) CheckCoherence() error {
 		if !needEntry {
 			continue // blocks cached only at home need no directory entry
 		}
-		e := m.clusters[home].dir.Lookup(m.dirKey(b), m.simNow())
+		// Peek, not Lookup: the validator must leave recency state and the
+		// dir.* counters exactly as the run left them.
+		e := m.clusters[home].dir.Peek(m.dirKey(b))
 		if e == nil {
 			return fmt.Errorf("block %d cached remotely but home %d has no directory entry", b, home)
 		}

@@ -60,6 +60,15 @@ func (g *Gauge) Value() int64 { return g.v }
 // Max returns the high-water mark.
 func (g *Gauge) Max() int64 { return g.max }
 
+// Merge folds src into g: the levels add, and the high-water mark is the
+// larger of the two marks — the fold Registry.Merge applies to gauges.
+func (g *Gauge) Merge(src *Gauge) {
+	g.v += src.v
+	if src.max > g.max {
+		g.max = src.max
+	}
+}
+
 // Histogram is a fixed-bucket distribution. Bounds are inclusive upper
 // limits in ascending order; an implicit overflow bucket catches the rest.
 // The bucket layout is fixed at creation so Observe never allocates.
@@ -268,11 +277,7 @@ func (r *Registry) Merge(src *Registry) {
 		r.Counter(name).Add(c.v)
 	}
 	for name, g := range src.gauges {
-		dst := r.Gauge(name)
-		dst.v += g.v
-		if g.max > dst.max {
-			dst.max = g.max
-		}
+		r.Gauge(name).Merge(g)
 	}
 	for name, h := range src.hists {
 		r.Histogram(name, h.bounds).Merge(h)

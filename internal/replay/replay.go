@@ -26,7 +26,7 @@ type Line struct {
 	Faults   string // mesh fault spec or "campaign"; empty omits the flag
 	Wedge    bool
 	NoCheck  bool // renders as -check=false; the checker is on by default
-	Shards   int  // 0 omits the flag
+	Shards   int  // 0 and the default 1 omit the flag
 	Parallel int  // 0 omits the flag
 	Verbose  bool
 }
@@ -45,7 +45,7 @@ func (l Line) String() string {
 	if l.NoCheck {
 		b.WriteString(" -check=false")
 	}
-	if l.Shards > 0 {
+	if l.Shards > 1 {
 		fmt.Fprintf(&b, " -shards %d", l.Shards)
 	}
 	if l.Parallel > 0 {

@@ -2,10 +2,10 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineThroughput measures raw event throughput with a steady
+// BenchmarkWheelThroughput measures raw event throughput with a steady
 // queue depth, the dominant cost of large simulations.
-func BenchmarkEngineThroughput(b *testing.B) {
-	var e Engine
+func BenchmarkWheelThroughput(b *testing.B) {
+	e := NewWheel(0)
 	const depth = 1024
 	fire := func() {}
 	for i := 0; i < depth; i++ {
@@ -19,10 +19,10 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 }
 
-func BenchmarkEngineBurst(b *testing.B) {
+func BenchmarkWheelBurst(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var e Engine
+		e := NewWheel(0)
 		for j := 0; j < 1000; j++ {
 			e.At(Time(j%17), func() {})
 		}

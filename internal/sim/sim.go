@@ -1,107 +1,15 @@
-// Package sim provides deterministic discrete-event simulation engines.
+// Package sim provides the deterministic discrete-event scheduler the
+// machine core runs on: a timing wheel (see wheel.go) whose events are
+// callbacks at integer cycle times.
 //
-// Events are callbacks scheduled at integer cycle times. Ties are broken by
-// insertion order, so a simulation run is fully reproducible. Two
-// implementations of the Scheduler interface are provided: the heap-based
-// Engine (the serial default) and the timing Wheel (see wheel.go), whose
-// explicit ordering keys the sharded machine core builds on.
+// Events fire in ascending (time, key) order. At assigns keys in insertion
+// order; AtKey lets the caller impose an explicit order on equal-time
+// events, so a run is fully reproducible and, when keys derive from the
+// scheduling context, independent of which worker scheduled what first.
 package sim
-
-import "container/heap"
 
 // Time is a simulation timestamp in processor cycles.
 type Time = uint64
 
 // Event is a scheduled callback.
 type Event func()
-
-type item struct {
-	at  Time
-	seq uint64
-	fn  Event
-}
-
-type eventHeap []item
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(item)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h eventHeap) peek() item    { return h[0] }
-
-// Engine is a discrete-event simulator. The zero value is ready to use.
-type Engine struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	fired  uint64
-}
-
-// Now returns the current simulation time.
-func (e *Engine) Now() Time { return e.now }
-
-// Fired returns the number of events executed so far.
-func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of scheduled-but-unfired events.
-func (e *Engine) Pending() int { return len(e.events) }
-
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it would silently corrupt causality.
-func (e *Engine) At(t Time, fn Event) {
-	if t < e.now {
-		panic("sim: scheduling event in the past")
-	}
-	e.seq++
-	heap.Push(&e.events, item{at: t, seq: e.seq, fn: fn})
-}
-
-// After schedules fn to run delay cycles from now. A delay that would
-// overflow Time panics: wrapping would silently schedule in the past.
-func (e *Engine) After(delay Time, fn Event) {
-	t := e.now + delay
-	if t < e.now {
-		panic("sim: After overflows sim.Time")
-	}
-	e.At(t, fn)
-}
-
-// Step fires the next event, advancing time to it. It reports whether an
-// event was fired.
-func (e *Engine) Step() bool {
-	if len(e.events) == 0 {
-		return false
-	}
-	it := e.events.peek()
-	heap.Pop(&e.events)
-	e.now = it.at
-	e.fired++
-	it.fn()
-	return true
-}
-
-// Run fires events until none remain and returns the final time.
-func (e *Engine) Run() Time {
-	for e.Step() {
-	}
-	return e.now
-}
-
-// RunUntil fires events with timestamps <= deadline (events an in-flight
-// callback schedules at or before the deadline are also fired). It returns
-// true if the queue drained, false if the deadline stopped it.
-func (e *Engine) RunUntil(deadline Time) bool {
-	for len(e.events) > 0 {
-		if e.events.peek().at > deadline {
-			return false
-		}
-		e.Step()
-	}
-	return true
-}

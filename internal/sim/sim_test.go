@@ -5,10 +5,10 @@ import (
 	"testing/quick"
 )
 
-func TestZeroEngine(t *testing.T) {
-	var e Engine
+func TestEmptyWheel(t *testing.T) {
+	e := NewWheel(0)
 	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
-		t.Fatal("zero engine not pristine")
+		t.Fatal("new wheel not pristine")
 	}
 	if e.Step() {
 		t.Fatal("Step on empty queue should return false")
@@ -19,7 +19,7 @@ func TestZeroEngine(t *testing.T) {
 }
 
 func TestEventOrdering(t *testing.T) {
-	var e Engine
+	e := NewWheel(0)
 	var order []int
 	e.At(30, func() { order = append(order, 3) })
 	e.At(10, func() { order = append(order, 1) })
@@ -39,7 +39,7 @@ func TestEventOrdering(t *testing.T) {
 }
 
 func TestTieBreakByInsertion(t *testing.T) {
-	var e Engine
+	e := NewWheel(0)
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
@@ -54,7 +54,7 @@ func TestTieBreakByInsertion(t *testing.T) {
 }
 
 func TestAfterAndChaining(t *testing.T) {
-	var e Engine
+	e := NewWheel(0)
 	var hits []Time
 	e.After(10, func() {
 		hits = append(hits, e.Now())
@@ -67,7 +67,7 @@ func TestAfterAndChaining(t *testing.T) {
 }
 
 func TestSchedulingPastPanics(t *testing.T) {
-	var e Engine
+	e := NewWheel(0)
 	e.At(10, func() {
 		defer func() {
 			if recover() == nil {
@@ -80,7 +80,7 @@ func TestSchedulingPastPanics(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
-	var e Engine
+	e := NewWheel(0)
 	fired := 0
 	for _, t := range []Time{5, 10, 15, 20} {
 		e.At(t, func() { fired++ })
@@ -103,7 +103,7 @@ func TestRunUntil(t *testing.T) {
 }
 
 func TestRunUntilIncludesNewlyScheduled(t *testing.T) {
-	var e Engine
+	e := NewWheel(0)
 	var hits []Time
 	e.At(5, func() {
 		hits = append(hits, e.Now())
@@ -119,7 +119,7 @@ func TestRunUntilIncludesNewlyScheduled(t *testing.T) {
 // insertion order.
 func TestQuickMonotonicTime(t *testing.T) {
 	f := func(delays []uint16) bool {
-		var e Engine
+		e := NewWheel(0)
 		var times []Time
 		for _, d := range delays {
 			e.At(Time(d), func() { times = append(times, e.Now()) })

@@ -1,36 +1,5 @@
 package sim
 
-// Scheduler is the discrete-event scheduling interface the simulator cores
-// program against. The heap Engine (the serial default) and the timing
-// Wheel (the sharded machine core's per-shard calendar) are interchangeable
-// behind it.
-type Scheduler interface {
-	// Now returns the current simulation time.
-	Now() Time
-	// At schedules fn at absolute time t; scheduling in the past panics.
-	At(t Time, fn Event)
-	// After schedules fn delay cycles from now; overflowing Time panics.
-	After(delay Time, fn Event)
-	// Step fires the next event, advancing time to it, and reports
-	// whether an event was fired.
-	Step() bool
-	// Run fires events until none remain and returns the final time.
-	Run() Time
-	// RunUntil fires events with timestamps <= deadline (including events
-	// an in-flight callback schedules at or before it) and returns true
-	// if the queue drained, false if the deadline stopped it.
-	RunUntil(deadline Time) bool
-	// Fired returns the number of events executed so far.
-	Fired() uint64
-	// Pending returns the number of scheduled-but-unfired events.
-	Pending() int
-}
-
-var (
-	_ Scheduler = (*Engine)(nil)
-	_ Scheduler = (*Wheel)(nil)
-)
-
 // DefaultWheelSlots is the wheel size NewWheel(0) selects: large enough
 // that every intra-machine latency (bus, directory, mesh transit) lands in
 // a slot, small enough to scan cheaply when jumping idle gaps.
@@ -99,10 +68,10 @@ func wpop(h []witem) (witem, []witem) {
 // O(log k) in the events sharing a timestamp, with no global heap, and
 // idle gaps are jumped by scanning at most one wheel revolution.
 //
-// Like the Engine, a Wheel fires equal-time events in insertion order when
-// scheduled with At. AtKey additionally lets the caller impose an explicit
-// total order on equal-time events — the hook the sharded machine core uses
-// to make event order independent of which shard scheduled what first.
+// A Wheel fires equal-time events in insertion order when scheduled with
+// At. AtKey additionally lets the caller impose an explicit total order on
+// equal-time events — the hook the machine core uses to make event order
+// independent of which shard scheduled what first.
 type Wheel struct {
 	slots  [][]witem // per-cycle buckets, each a (at,key) min-heap
 	mask   Time
@@ -137,9 +106,9 @@ func (w *Wheel) Pending() int { return w.inSlot + len(w.over) }
 
 // FiringKey returns the ordering key of the event currently being fired.
 // Together with Now it identifies the firing event's position in the
-// wheel's total (time, key) order — the stamp the sharded machine core
-// attaches to observability records so per-shard buffers merge back into
-// the canonical global order. Outside a callback it returns the key of
+// wheel's total (time, key) order — the stamp the machine core attaches to
+// observability records so per-shard buffers merge back into the canonical
+// global order. Outside a callback it returns the key of
 // the most recently fired event (0 before the first).
 func (w *Wheel) FiringKey() uint64 { return w.curKey }
 
@@ -153,8 +122,8 @@ func (w *Wheel) At(t Time, fn Event) {
 // AtKey schedules fn at absolute time t with an explicit ordering key:
 // equal-time events fire in ascending key order no matter the order they
 // were inserted in. Callers must keep keys unique per timestamp (the
-// sharded machine core derives them from the scheduling cluster and its
-// event sequence). Keys share one space with At's insertion sequence, so a
+// machine core derives them from the scheduling cluster and its event
+// sequence). Keys share one space with At's insertion sequence, so a
 // caller should use either At or AtKey on a wheel, not both.
 func (w *Wheel) AtKey(t Time, key uint64, fn Event) {
 	w.insert(witem{at: t, key: key, fn: fn})

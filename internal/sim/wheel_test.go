@@ -4,15 +4,66 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
-// TestWheelMatchesEngine cross-checks the wheel against the heap engine on
-// a randomized schedule, including events that schedule further events:
-// both must fire the same callbacks in the same order at the same times.
+// refEngine is the reference the wheel is checked against: the simplest
+// correct scheduler, which keeps every pending event in one slice and fires
+// the minimum by (time, insertion order).
+type refEngine struct {
+	now Time
+	seq uint64
+	evs []refEvent
+}
+
+type refEvent struct {
+	at  Time
+	seq uint64
+	fn  Event
+}
+
+func (e *refEngine) Now() Time { return e.now }
+
+func (e *refEngine) After(d Time, fn Event) {
+	e.seq++
+	e.evs = append(e.evs, refEvent{at: e.now + d, seq: e.seq, fn: fn})
+}
+
+func (e *refEngine) Run() Time {
+	for len(e.evs) > 0 {
+		sort.Slice(e.evs, func(i, j int) bool {
+			if e.evs[i].at != e.evs[j].at {
+				return e.evs[i].at < e.evs[j].at
+			}
+			return e.evs[i].seq < e.evs[j].seq
+		})
+		ev := e.evs[0]
+		e.evs = e.evs[1:]
+		e.now = ev.at
+		ev.fn()
+	}
+	return e.now
+}
+
+// scheduler is the slice of the wheel's API the cross-check drives.
+type scheduler interface {
+	Now() Time
+	After(Time, Event)
+	Run() Time
+}
+
+// TestWheelMatchesEngine cross-checks the wheel against the reference
+// engine on a randomized schedule, including events that schedule further
+// events: both must fire the same callbacks in the same order at the same
+// times.
 func TestWheelMatchesEngine(t *testing.T) {
-	run := func(s Scheduler) []int {
-		var order []int
+	type firing struct {
+		id int
+		at Time
+	}
+	run := func(s scheduler) []firing {
+		var order []firing
 		rng := rand.New(rand.NewSource(42))
 		id := 0
 		var schedule func(depth int)
@@ -26,7 +77,7 @@ func TestWheelMatchesEngine(t *testing.T) {
 				id++
 				d := Time(rng.Intn(700)) // crosses the wheel horizon both ways
 				s.After(d, func() {
-					order = append(order, myID)
+					order = append(order, firing{myID, s.Now()})
 					if depth < 3 && myID%3 == 0 {
 						schedule(depth + 1)
 					}
@@ -37,10 +88,10 @@ func TestWheelMatchesEngine(t *testing.T) {
 		s.Run()
 		return order
 	}
-	eng := run(&Engine{})
+	ref := run(&refEngine{})
 	whl := run(NewWheel(64))
-	if !reflect.DeepEqual(eng, whl) {
-		t.Fatalf("firing order diverged:\nengine: %v\nwheel:  %v", eng, whl)
+	if len(ref) == 0 || !reflect.DeepEqual(ref, whl) {
+		t.Fatalf("firing order diverged:\nreference: %v\nwheel:     %v", ref, whl)
 	}
 }
 
@@ -103,10 +154,10 @@ func TestWheelKeyOrderInsertionIndependent(t *testing.T) {
 
 // TestWheelRunUntilExactDeadline exercises RunUntil with an event exactly
 // at the deadline, including an in-flight callback that schedules another
-// event at the deadline itself: both must fire, the later event must not,
-// and the engine must agree.
+// event at the deadline itself: both must fire and the later event must
+// not.
 func TestWheelRunUntilExactDeadline(t *testing.T) {
-	for _, s := range []Scheduler{&Engine{}, NewWheel(8)} {
+	for _, s := range []*Wheel{NewWheel(8), NewWheel(0)} {
 		var fired []string
 		s.At(5, func() { fired = append(fired, "early") })
 		s.At(10, func() {
@@ -137,11 +188,11 @@ func TestWheelRunUntilExactDeadline(t *testing.T) {
 }
 
 // TestAfterOverflow pins the behavior of After near the top of the Time
-// range for both schedulers: a delay that still fits schedules normally, a
-// delay that wraps panics instead of corrupting causality.
+// range: a delay that still fits schedules normally, a delay that wraps
+// panics instead of corrupting causality.
 func TestAfterOverflow(t *testing.T) {
 	const high = Time(math.MaxUint64) - 10
-	for _, s := range []Scheduler{&Engine{}, NewWheel(8)} {
+	for _, s := range []*Wheel{NewWheel(8), NewWheel(0)} {
 		s.At(high, func() {})
 		s.Step() // now = MaxUint64-10
 		if s.Now() != high {
@@ -167,8 +218,8 @@ func TestAfterOverflow(t *testing.T) {
 	}
 }
 
-// TestWheelPastPanics matches the engine's contract for scheduling behind
-// the current time.
+// TestWheelPastPanics pins the contract for scheduling behind the current
+// time from outside a callback.
 func TestWheelPastPanics(t *testing.T) {
 	w := NewWheel(8)
 	w.At(5, func() {})
@@ -181,15 +232,13 @@ func TestWheelPastPanics(t *testing.T) {
 	w.At(3, func() {})
 }
 
-func BenchmarkEngineChurn(b *testing.B) { benchChurn(b, func() Scheduler { return &Engine{} }) }
-func BenchmarkWheelChurn(b *testing.B)  { benchChurn(b, func() Scheduler { return NewWheel(0) }) }
-
-// benchChurn models the machine's event pattern: each fired event schedules
-// a successor a short latency ahead, over a population of concurrent chains.
-func benchChurn(b *testing.B, mk func() Scheduler) {
+// BenchmarkWheelChurn models the machine's event pattern: each fired event
+// schedules a successor a short latency ahead, over a population of
+// concurrent chains.
+func BenchmarkWheelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := mk()
+		s := NewWheel(0)
 		remaining := 200_000
 		var chain func()
 		chain = func() {

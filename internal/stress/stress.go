@@ -38,8 +38,8 @@ type Options struct {
 	Fault    machine.Fault
 	Faults   string // "", a mesh.ParseFaults spec, or "campaign"
 	Wedge    bool
-	Check    bool // run the invariant checker (forces the serial engine)
-	Shards   int  // sharded machine core width; effective only with check off
+	Check    bool // run the invariant checker (clamps the run to width 1)
+	Shards   int  // machine-core width; effective only with check off
 	Parallel int
 	Verbose  bool
 	// Deadline, when > 0, bounds each trial in wall-clock time via the

@@ -119,9 +119,9 @@ func TestFaultCampaignRegressions(t *testing.T) {
 }
 
 // TestShardedDifferential: the same seeded stress campaign run on the
-// sharded machine core at widths 1, 2 and 4 must reproduce identical
+// machine core at widths 1, 2 and 4 must reproduce identical
 // configurations and execution times trial for trial (the checker is off:
-// it forces the serial engine).
+// it clamps the run to width 1).
 func TestShardedDifferential(t *testing.T) {
 	base := smallOpts()
 	base.Check = false
