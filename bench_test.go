@@ -26,8 +26,8 @@ import (
 )
 
 // session is the shared experiment session the benchmarks run on:
-// default parallelism and machine core width, no instrumentation.
-var session = exp.NewSession(exp.Observer{}, 0, 0)
+// default parallelism, no instrumentation.
+var session = exp.NewSession(exp.Observer{}, 0)
 
 func benchCurves(b *testing.B, nodes, region int) {
 	b.ReportAllocs()
@@ -251,7 +251,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 	for _, par := range widths {
 		b.Run(fmt.Sprintf("workers=%d", par), func(b *testing.B) {
-			s := exp.NewSession(exp.Observer{}, par, 0)
+			s := exp.NewSession(exp.Observer{}, par)
 			for i := 0; i < b.N; i++ {
 				s.Meter().Reset()
 				start := b.Elapsed()

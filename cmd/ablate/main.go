@@ -22,6 +22,7 @@ func main() {
 	)
 	obsFlags := cli.NewObs("ablate").EnableServer()
 	flag.Parse()
+	cli.Positive("ablate", "procs")
 	cli.Check("ablate", obsFlags.Start())
 	defer obsFlags.Stop()
 	s := obsFlags.Session(*parallel)

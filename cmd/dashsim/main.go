@@ -62,6 +62,7 @@ func main() {
 	)
 	obsFlags := cli.NewObs(tool).EnableServer()
 	flag.Parse()
+	cli.Positive(tool, "procs")
 
 	f, err := core.ParseSpec(*scheme, *ptrs, *region)
 	if err != nil {
@@ -106,7 +107,6 @@ func main() {
 	cfg.SampleEvery = obsFlags.SampleEvery()
 	cfg.Mesh.Faults = obsFlags.Faults()
 	cfg.Deadline = obsFlags.Deadline()
-	cfg.Shards = obsFlags.Shards()
 	if lv := obsFlags.Live(); lv != nil {
 		cfg.Live = lv.Run(w.Name)
 	}
@@ -117,9 +117,6 @@ func main() {
 	m, err := machine.New(cfg)
 	if err != nil {
 		cli.Fatalf(tool, "%v", err)
-	}
-	if r := m.FallbackReason(); r != "" {
-		fmt.Fprintf(os.Stderr, "%s: -shards %d %s\n", tool, obsFlags.Shards(), r)
 	}
 
 	c := w.Characterize()

@@ -47,9 +47,7 @@ func main() {
 	)
 	obsFlags := cli.NewObs("invdist").EnableServer()
 	flag.Parse()
-	if err := analytic.ValidateTrials(*trials); err != nil {
-		cli.Usagef("invdist", "%v", err)
-	}
+	cli.Positive("invdist", "trials", "procs")
 	cli.Check("invdist", obsFlags.Start())
 	defer obsFlags.Stop()
 	s := obsFlags.Session(0)

@@ -70,8 +70,7 @@ func main() {
 		faultStr  = flag.String("fault", "none", "inject a protocol mutation (none, drop-inval, skip-recall); the checker must catch it")
 		faultsStr = flag.String("faults", "", "inject network faults under every trial: a mesh.ParseFaults spec, or 'campaign' for a seeded per-trial mix; recovery must keep every trial clean")
 		wedge     = flag.Bool("wedge", false, "watchdog self-test: drop every message with a tiny retry budget; every trial must abort with a diagnostic dump")
-		checkOn   = flag.Bool("check", true, "run the invariant checker on every trial (the checker clamps the run to width 1; disable it to exercise -shards)")
-		shards    = flag.Int("shards", 1, "run each trial on N parallel event-wheel shards (width differential runs use -check=false -shards N)")
+		checkOn   = flag.Bool("check", true, "run the invariant checker on every trial")
 		parallel  = flag.Int("parallel", 0, "concurrent trials (0 = one per core)")
 		verbose   = flag.Bool("v", false, "print every trial, not just failures")
 	)
@@ -85,8 +84,8 @@ func main() {
 	if err != nil {
 		cli.Usagef(tool, "%v", err)
 	}
-	if *trialsN <= 0 || *refs <= 0 || *blocks <= 0 || *shards <= 0 {
-		cli.Usagef(tool, "-trials, -refs, -blocks and -shards must be positive")
+	if *trialsN <= 0 || *refs <= 0 || *blocks <= 0 {
+		cli.Usagef(tool, "-trials, -refs and -blocks must be positive")
 	}
 	if *faultsStr != "" && *faultsStr != "campaign" {
 		if _, err := mesh.ParseFaults(*faultsStr); err != nil {
@@ -99,14 +98,11 @@ func main() {
 	if !*checkOn && fault != machine.FaultNone {
 		cli.Usagef(tool, "-fault self-tests need the checker; drop -check=false")
 	}
-	if *shards > 1 && *checkOn {
-		fmt.Fprintf(os.Stderr, "%s: note: -shards %d is clamped to width 1 while the checker is on; add -check=false\n", tool, *shards)
-	}
 
 	o := stress.Options{
 		Trials: *trialsN, Seed: *seed, Procs: procs, Refs: *refs,
 		Blocks: *blocks, Fault: fault, Faults: *faultsStr, Wedge: *wedge,
-		Check: *checkOn, Shards: *shards,
+		Check:    *checkOn,
 		Parallel: *parallel, Verbose: *verbose,
 	}
 	trials, caught := stress.RunTrials(o)

@@ -27,6 +27,7 @@ func main() {
 	)
 	obsFlags := cli.NewObs("report").EnableServer()
 	flag.Parse()
+	cli.Positive("report", "procs", "trials")
 	cli.Check("report", obsFlags.Start())
 	defer obsFlags.Stop()
 	s := obsFlags.Session(*parallel)

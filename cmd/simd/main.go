@@ -167,10 +167,9 @@ func (s *server) stream(w http.ResponseWriter, r *http.Request) {
 // progressEntry mirrors the -pprof server's /progress rows, keyed
 // "<campaign>/<run>".
 type progressEntry struct {
-	Cycles uint64   `json:"cycles"`
-	Events uint64   `json:"events"`
-	Shards []uint64 `json:"shards,omitempty"`
-	Done   bool     `json:"done"`
+	Cycles uint64 `json:"cycles"`
+	Events uint64 `json:"events"`
+	Done   bool   `json:"done"`
 }
 
 func (s *server) progress(w http.ResponseWriter, _ *http.Request) {
@@ -179,7 +178,7 @@ func (s *server) progress(w http.ResponseWriter, _ *http.Request) {
 		for _, run := range live.Runs() {
 			if sm := run.Latest(); sm != nil {
 				out[id+"/"+run.Label()] = progressEntry{
-					Cycles: sm.Cycles, Events: sm.Events, Shards: sm.Shards, Done: sm.Done,
+					Cycles: sm.Cycles, Events: sm.Events, Done: sm.Done,
 				}
 			}
 		}
@@ -220,14 +219,10 @@ func main() {
 		retries    = flag.Int("retries", 1, "re-runs of a failed (non-stuck) job before its failure record is final")
 		ckptEvery  = flag.Int("checkpoint-every", 8, "journal appends between checkpoint compactions")
 		parallel   = flag.Int("parallel", 0, "worker budget per campaign (0 = one per core)")
-		shards     = flag.Int("shards", 1, "machine-core shard width for simulation jobs (at least 1)")
 		drainWait  = flag.Duration("drain-timeout", 2*time.Minute, "how long SIGTERM waits for in-flight jobs before exiting anyway")
 		traceDir   = flag.String("trace-dir", "", "directory the registered \"trace\" app replays (overrides the default)")
 	)
 	flag.Parse()
-	if *shards < 1 {
-		cli.Usagef(tool, "-shards must be at least 1 (got %d)", *shards)
-	}
 	if *traceDir != "" {
 		apps.SetTraceDir(*traceDir)
 	}
@@ -236,7 +231,7 @@ func main() {
 		Root: *data, MaxActive: *maxActive, QueueDepth: *queue,
 		MaxTenants: *maxTenants, TenantJobs: *tenantJobs,
 		JobRetries: *retries, JobTimeout: *jobTimeout,
-		CheckpointEvery: *ckptEvery, Parallel: *parallel, Shards: *shards,
+		CheckpointEvery: *ckptEvery, Parallel: *parallel,
 	})
 	if err != nil {
 		cli.Fatalf(tool, "%v", err)

@@ -57,10 +57,10 @@ func main() {
 	cli.Check(tool, obsFlags.Start())
 	defer obsFlags.Stop()
 
-	// One exp.Session carries the observability hooks and shard width into
-	// every run (the same path the campaign service uses, so outputs
-	// match); the suite's own pool provides the cross-run concurrency, so
-	// the session executes each entry serially.
+	// One exp.Session carries the observability hooks into every run (the
+	// same path the campaign service uses, so outputs match); the suite's
+	// own pool provides the cross-run concurrency, so the session executes
+	// each entry serially.
 	sess := obsFlags.Session(1)
 
 	results := runner.Map(runner.New(*parallel), s.Runs, func(run config.RunSpec) outcome {

@@ -1,12 +1,12 @@
 // Command sweep runs the paper's complete experiment suite and prints
 // every table and figure of the evaluation section. This is the program
-// that produced EXPERIMENTS.md. Independent simulations are sharded
-// across a worker pool; output is byte-identical at any parallelism.
+// that produced EXPERIMENTS.md. Each simulation runs on one goroutine,
+// and independent simulations are spread across a worker pool; output is
+// byte-identical at any parallelism.
 //
 //	sweep             # everything, using all cores
 //	sweep -only 7-10  # just the scheme-comparison figures
 //	sweep -parallel 1 # serial baseline
-//	sweep -shards 4   # four machine-core shards, bit-identical output
 package main
 
 import (
@@ -15,7 +15,6 @@ import (
 	"os"
 	"time"
 
-	"dircoh/internal/analytic"
 	"dircoh/internal/cli"
 	"dircoh/internal/exp"
 )
@@ -29,9 +28,7 @@ func main() {
 	)
 	obsFlags := cli.NewObs("sweep").EnableServer()
 	flag.Parse()
-	if err := analytic.ValidateTrials(*trials); err != nil {
-		cli.Usagef("sweep", "%v", err)
-	}
+	cli.Positive("sweep", "procs", "trials")
 	keys, err := exp.ParseSections(*only)
 	if err != nil {
 		cli.Usagef("sweep", "-only: %v", err)

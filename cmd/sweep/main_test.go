@@ -50,7 +50,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // count with the fixed seed the sweep always uses.
 func TestSweepGoldenAnalytic(t *testing.T) {
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "t1,2"), 8, 64)
+	runSweep(exp.NewSession(exp.Observer{}, 0), &buf, sections(t, "t1,2"), 8, 64)
 	checkGolden(t, "sweep_t1_2.golden", buf.Bytes())
 }
 
@@ -58,7 +58,7 @@ func TestSweepGoldenAnalytic(t *testing.T) {
 // size (workload characterization only — no simulation).
 func TestSweepGoldenTable2(t *testing.T) {
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "t2"), 8, 1)
+	runSweep(exp.NewSession(exp.Observer{}, 0), &buf, sections(t, "t2"), 8, 1)
 	checkGolden(t, "sweep_t2.golden", buf.Bytes())
 }
 
@@ -67,7 +67,7 @@ func TestSweepGoldenTable2(t *testing.T) {
 // cost table at 64-4096 clusters. Pure arithmetic, no simulation.
 func TestSweepGoldenScale(t *testing.T) {
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "scale"), 8, 1)
+	runSweep(exp.NewSession(exp.Observer{}, 0), &buf, sections(t, "scale"), 8, 1)
 	checkGolden(t, "sweep_scale.golden", buf.Bytes())
 }
 
@@ -80,32 +80,8 @@ func TestSweepGoldenScaleSim(t *testing.T) {
 		t.Skip("simulates 256-4096 cluster machines")
 	}
 	var buf bytes.Buffer
-	runSweep(exp.NewSession(exp.Observer{}, 0, 0), &buf, sections(t, "scale-sim"), 8, 1)
+	runSweep(exp.NewSession(exp.Observer{}, 0), &buf, sections(t, "scale-sim"), 8, 1)
 	checkGolden(t, "sweep_scale_sim.golden", buf.Bytes())
-}
-
-// TestScaleSmokeWidths is the bounded large-geometry smoke: one
-// 1024-cluster scale cell (the adaptive two-level scheme) run at machine
-// core widths 1 and 4 must render byte-identically — the
-// width-independence guarantee exercised at the scale the compact
-// encodings exist for. Bounded to a single cell so CI stays fast.
-func TestScaleSmokeWidths(t *testing.T) {
-	saved := exp.ScaleSchemes
-	exp.ScaleSchemes = exp.ScaleSchemes[2:3] // Two Level only
-	defer func() { exp.ScaleSchemes = saved }()
-	render := func(shards int) []byte {
-		var buf bytes.Buffer
-		_, tb := exp.NewSession(exp.Observer{}, 0, shards).ScaleStudy([]int{1024}, 2)
-		buf.WriteString(tb.String())
-		return buf.Bytes()
-	}
-	want := render(1)
-	if len(want) == 0 {
-		t.Fatal("empty scale output")
-	}
-	if got := render(4); !bytes.Equal(got, want) {
-		t.Fatalf("-shards 4 scale cell differs from -shards 1:\n--- shards 1 ---\n%s\n--- shards 4 ---\n%s", want, got)
-	}
 }
 
 // TestSweepParallelismInvariant renders a simulation-backed section at
@@ -113,7 +89,7 @@ func TestScaleSmokeWidths(t *testing.T) {
 func TestSweepParallelismInvariant(t *testing.T) {
 	render := func(par int) []byte {
 		var buf bytes.Buffer
-		runSweep(exp.NewSession(exp.Observer{}, par, 0), &buf, sections(t, "3-6"), 8, 1)
+		runSweep(exp.NewSession(exp.Observer{}, par), &buf, sections(t, "3-6"), 8, 1)
 		return buf.Bytes()
 	}
 	want := render(1)
@@ -124,29 +100,6 @@ func TestSweepParallelismInvariant(t *testing.T) {
 		if got := render(par); !bytes.Equal(got, want) {
 			t.Fatalf("-parallel %d output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
 				par, want, got)
-		}
-	}
-}
-
-// TestSweepShardsInvariant renders a simulation-backed section at several
-// machine core widths and requires byte-identical output — the end-to-end
-// form of the core's equivalence guarantee. Width 0 (the library default)
-// and every width >= 1 share one (time, origin cluster, sequence) event
-// order.
-func TestSweepShardsInvariant(t *testing.T) {
-	render := func(shards int) []byte {
-		var buf bytes.Buffer
-		runSweep(exp.NewSession(exp.Observer{}, 0, shards), &buf, sections(t, "7-10"), 8, 1)
-		return buf.Bytes()
-	}
-	want := render(1)
-	if len(want) == 0 {
-		t.Fatal("empty sweep output")
-	}
-	for _, shards := range []int{0, 2, 4} {
-		if got := render(shards); !bytes.Equal(got, want) {
-			t.Fatalf("-shards %d output differs from -shards 1:\n--- shards 1 ---\n%s\n--- shards %d ---\n%s",
-				shards, want, shards, got)
 		}
 	}
 }
@@ -171,30 +124,47 @@ func TestWant(t *testing.T) {
 	}
 }
 
-// TestUnknownOnlyExits2: an -only key that names no section is a usage
-// error — exit status 2 with the bad key and the valid ones on stderr —
-// even next to a valid key, and nothing is rendered.
+// TestUnknownOnlyExits2: an -only key that names no section — alone or
+// next to a valid key — and a non-positive -procs or -trials are usage
+// errors: exit status 2 with the offending flag or key named on stderr, no
+// panic, and nothing rendered. A panic also exits 2, so the stderr checks
+// carry the test.
 func TestUnknownOnlyExits2(t *testing.T) {
-	if only := os.Getenv("SWEEP_TEST_ONLY"); only != "" {
-		os.Args = []string{"sweep", "-only", only}
+	if args := os.Getenv("SWEEP_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"sweep"}, strings.Fields(args)...)
 		main()
 		return
 	}
-	for _, only := range []string{"zzz", "t1,zzz"} {
+	for _, c := range []struct {
+		args string
+		want []string // substrings stderr must carry
+	}{
+		{"-only zzz", []string{`"zzz"`, "7-10"}},
+		{"-only t1,zzz", []string{`"zzz"`, "7-10"}},
+		{"-only 7-10 -procs 0 -trials 1", []string{"-procs"}},
+		{"-only 11-12 -procs -1", []string{"-procs"}},
+		{"-only t1 -trials 0", []string{"-trials"}},
+	} {
 		cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownOnlyExits2$")
-		cmd.Env = append(os.Environ(), "SWEEP_TEST_ONLY="+only)
+		cmd.Env = append(os.Environ(), "SWEEP_TEST_ARGS="+c.args)
 		var stdout, stderr bytes.Buffer
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var ee *exec.ExitError
 		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
-			t.Fatalf("-only %s: err=%v, want exit status 2 (stderr: %s)", only, err, stderr.String())
+			t.Fatalf("%s: err=%v, want exit status 2 (stderr: %s)", c.args, err, stderr.String())
 		}
-		if msg := stderr.String(); !strings.Contains(msg, `"zzz"`) || !strings.Contains(msg, "7-10") {
-			t.Errorf("-only %s: stderr %q does not name the bad key and the valid ones", only, msg)
+		msg := stderr.String()
+		if strings.Contains(msg, "panic:") {
+			t.Errorf("%s: panicked: %s", c.args, msg)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(msg, w) {
+				t.Errorf("%s: stderr %q does not name %s", c.args, msg, w)
+			}
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("-only %s rendered output: %q", only, stdout.String())
+			t.Errorf("%s rendered output: %q", c.args, stdout.String())
 		}
 	}
 }

@@ -56,6 +56,7 @@ func main() {
 	if *out == "" {
 		cli.Usagef(tool, "-o output file required (or use -info)")
 	}
+	cli.Positive(tool, "procs")
 	build, err := apps.Lookup(*app)
 	if err != nil {
 		cli.Usagef(tool, "%v", err)

@@ -127,7 +127,7 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 	// A colliding root TxID (two transactions claiming id 1) names the id
-	// and the run in the error, so a broken shard merge is diagnosable.
+	// and the run in the error, so a span-ID collision is diagnosable.
 	_, errDup := parse(strings.NewReader(root + "\n" + root + "\n"))
 	if errDup == nil || !strings.Contains(errDup.Error(), "duplicate transaction id 1") {
 		t.Fatalf("duplicate tx id error = %v", errDup)

@@ -144,7 +144,7 @@ func TestSweepCampaignMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp.NewSession(exp.Observer{}, 0, 0).Sweep(&want, keys, 8, 50)
+	exp.NewSession(exp.Observer{}, 0).Sweep(&want, keys, 8, 50)
 	if got != want.String() {
 		t.Fatalf("campaign sweep diverged from exp.Sweep:\n%q\nvs\n%q", got, want.String())
 	}

@@ -70,9 +70,6 @@ type Config struct {
 	CheckpointEvery int
 	// Parallel is the per-campaign worker budget (0 = one per core).
 	Parallel int
-	// Shards is the machine-core shard width for simulation jobs (0 means
-	// the default width 1).
-	Shards int
 	// NoSync skips the per-append journal fsync (tests; real servers keep
 	// the default durable behavior).
 	NoSync bool
@@ -419,7 +416,7 @@ func (m *Manager) sessionFor(c *Campaign) *exp.Session {
 		}
 	}
 	_, sessW := c.spec.jobParallel(m.cfg.Parallel)
-	return exp.NewSession(ob, sessW, m.cfg.Shards)
+	return exp.NewSession(ob, sessW)
 }
 
 // execJob runs one job to a terminal record: success, quarantined stuck

@@ -74,6 +74,17 @@ func Usagef(tool, format string, args ...any) {
 	os.Exit(2)
 }
 
+// Positive exits with a usage error naming the first of the named int
+// flags whose parsed value is not positive. Call after flag.Parse.
+func Positive(tool string, names ...string) {
+	for _, name := range names {
+		f := flag.Lookup(name)
+		if n, _ := f.Value.(flag.Getter).Get().(int); n <= 0 {
+			Usagef(tool, "-%s must be positive (got %s)", name, f.Value)
+		}
+	}
+}
+
 // Check is Fatalf(tool, "%v", err) when err is non-nil, a no-op otherwise.
 func Check(tool string, err error) {
 	if err != nil {
@@ -96,7 +107,6 @@ type Obs struct {
 	pprofAddr   string
 	faultSpec   string
 	deadline    time.Duration
-	shards      int
 
 	sink      *obs.JSONLSink
 	spanSink  *obs.JSONLSink
@@ -128,7 +138,6 @@ func NewObs(tool string) *Obs {
 	flag.StringVar(&o.memPath, "memprofile", "", "write a heap profile to this file on exit")
 	flag.StringVar(&o.faultSpec, "faults", "", "inject network faults: drop=P,dup=P,delay=P:MAX,outage=P:LEN:EVERY[,seed=N] (see mesh.ParseFaults; empty disables)")
 	flag.DurationVar(&o.deadline, "deadline", 0, "abort a run still going after this wall-clock duration, with the liveness watchdog's diagnostic dump (0 disables)")
-	flag.IntVar(&o.shards, "shards", 1, "run each machine on N parallel event-wheel shards; results are bit-identical at any N >= 1 (runs with -check, -faults, -fault or mesh port contention clamp to 1)")
 	return o
 }
 
@@ -174,10 +183,9 @@ func (o *Obs) serveMetrics(w http.ResponseWriter, _ *http.Request) {
 // progressEntry is one run's row in the /progress view: the LiveSample
 // minus its metrics payload.
 type progressEntry struct {
-	Cycles uint64   `json:"cycles"`
-	Events uint64   `json:"events"`
-	Shards []uint64 `json:"shards,omitempty"`
-	Done   bool     `json:"done"`
+	Cycles uint64 `json:"cycles"`
+	Events uint64 `json:"events"`
+	Done   bool   `json:"done"`
 }
 
 // serveProgress renders label -> how far the run has advanced.
@@ -188,7 +196,6 @@ func (o *Obs) serveProgress(w http.ResponseWriter, _ *http.Request) {
 			out[run.Label()] = progressEntry{
 				Cycles: s.Cycles,
 				Events: s.Events,
-				Shards: s.Shards,
 				Done:   s.Done,
 			}
 		}
@@ -394,39 +401,12 @@ func (o *Obs) Faults() mesh.FaultConfig {
 // Deadline returns the -deadline wall-clock bound (0 = disabled).
 func (o *Obs) Deadline() time.Duration { return o.deadline }
 
-// Shards returns the -shards machine-core width, exiting with a usage
-// error when it is below 1.
-func (o *Obs) Shards() int {
-	if err := o.checkShards(); err != nil {
-		Usagef(o.tool, "%v", err)
-	}
-	return o.shards
-}
-
-func (o *Obs) checkShards() error {
-	if o.shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", o.shards)
-	}
-	return nil
-}
-
 // Session builds the experiment session a command runs under: every run
 // observed through these flags (traces, spans, metrics, sampling, the
 // checker, network faults, the deadline and the live server), at most
-// parallel simulations at once, on the validated -shards width. A bad
-// -shards or -faults value exits with a usage error.
+// parallel simulations at once. A bad -faults value exits with a usage
+// error.
 func (o *Obs) Session(parallel int) *exp.Session {
-	s, err := o.session(parallel)
-	if err != nil {
-		Usagef(o.tool, "%v", err)
-	}
-	return s
-}
-
-func (o *Obs) session(parallel int) (*exp.Session, error) {
-	if err := o.checkShards(); err != nil {
-		return nil, err
-	}
 	ob := exp.Observer{
 		Tracer:      o.Tracer,
 		Spans:       o.Spans,
@@ -439,7 +419,7 @@ func (o *Obs) session(parallel int) (*exp.Session, error) {
 	if o.Checking() {
 		ob.Check = o.CheckSink
 	}
-	return exp.NewSession(ob, parallel, o.shards), nil
+	return exp.NewSession(ob, parallel)
 }
 
 // openOut opens path for writing; "-" selects stdout, wrapped so the sink

@@ -52,13 +52,12 @@ func TestLiveServerEndpoints(t *testing.T) {
 		t.Fatal("Live() is nil with the server running")
 	}
 
-	// An in-flight sharded run and a finished serial one.
+	// An in-flight run and a finished one.
 	reg := obs.NewRegistry()
 	reg.Counter("msg.readreq").Add(41)
 	o.Live().Run("sweep/cell-0").Publish(&obs.LiveSample{
 		Cycles:  1000,
 		Events:  5000,
-		Shards:  []uint64{1000, 1010},
 		Metrics: reg.Snapshot(),
 	})
 	reg2 := obs.NewRegistry()
@@ -76,7 +75,7 @@ func TestLiveServerEndpoints(t *testing.T) {
 		t.Fatalf("/progress has %d runs, want 2: %v", len(prog), prog)
 	}
 	p0 := prog["sweep/cell-0"]
-	if p0.Cycles != 1000 || p0.Events != 5000 || p0.Done || len(p0.Shards) != 2 {
+	if p0.Cycles != 1000 || p0.Events != 5000 || p0.Done {
 		t.Fatalf("cell-0 progress = %+v", p0)
 	}
 	if p1 := prog["sweep/cell-1"]; !p1.Done || p1.Cycles != 2000 {
@@ -191,26 +190,16 @@ func TestStartBindError(t *testing.T) {
 }
 
 // TestSessionWiring: the session every experiment command builds carries
-// the checker under -check, and a -shards width below 1 is a usage error
-// rather than a silent default.
+// the checker under -check and the requested parallelism.
 func TestSessionWiring(t *testing.T) {
-	o := &Obs{tool: "clitest", shards: 1, checkOn: true}
-	s, err := o.session(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := (&Obs{tool: "clitest", checkOn: true}).Session(2)
 	if s.Observer().Check == nil {
 		t.Fatal("-check session carries no Check hook")
 	}
-	if s.Shards() != 1 || s.Parallelism() != 2 {
-		t.Fatalf("session width %d parallelism %d, want 1 and 2", s.Shards(), s.Parallelism())
+	if s.Parallelism() != 2 {
+		t.Fatalf("session parallelism %d, want 2", s.Parallelism())
 	}
-	if s, err := (&Obs{tool: "clitest", shards: 1}).session(1); err != nil || s.Observer().Check != nil {
-		t.Fatalf("session without -check: err=%v, Check hook set=%v", err, s != nil && s.Observer().Check != nil)
-	}
-	for _, shards := range []int{0, -1} {
-		if _, err := (&Obs{tool: "clitest", shards: shards}).session(1); err == nil || !strings.Contains(err.Error(), "-shards") {
-			t.Errorf("-shards %d: err=%v, want a -shards usage error", shards, err)
-		}
+	if (&Obs{tool: "clitest"}).Session(1).Observer().Check != nil {
+		t.Fatal("session without -check carries a Check hook")
 	}
 }

@@ -39,14 +39,14 @@ func capture(s *Session, procs int) snapshot {
 func TestPoolDeterminism(t *testing.T) {
 	const procs = 8
 
-	want := capture(NewSession(Observer{}, 1, 0), procs)
+	want := capture(NewSession(Observer{}, 1), procs)
 
 	widths := []int{2, 3, 8}
 	if testing.Short() {
 		widths = []int{4}
 	}
 	for _, par := range widths {
-		s := NewSession(Observer{}, par, 0)
+		s := NewSession(Observer{}, par)
 		if got := s.Parallelism(); got != par {
 			t.Fatalf("Parallelism() = %d, want %d", got, par)
 		}
@@ -77,10 +77,10 @@ func TestPoolDeterminism(t *testing.T) {
 
 // TestSessionParallelismBounds checks the auto default and floor.
 func TestSessionParallelismBounds(t *testing.T) {
-	if got := NewSession(Observer{}, 3, 0).Parallelism(); got != 3 {
+	if got := NewSession(Observer{}, 3).Parallelism(); got != 3 {
 		t.Fatalf("Parallelism() = %d, want 3", got)
 	}
-	if got := NewSession(Observer{}, 0, 0).Parallelism(); got < 1 {
+	if got := NewSession(Observer{}, 0).Parallelism(); got < 1 {
 		t.Fatalf("auto parallelism = %d, want >= 1", got)
 	}
 }
@@ -88,7 +88,7 @@ func TestSessionParallelismBounds(t *testing.T) {
 // TestMeterCountsRuns checks that every simulation is metered exactly
 // once with a non-zero cycle count.
 func TestMeterCountsRuns(t *testing.T) {
-	s := NewSession(Observer{}, 2, 0)
+	s := NewSession(Observer{}, 2)
 	runs, _ := s.SchemeComparison("MP3D", 8)
 	sum := s.Meter().Summary()
 	if sum.Jobs != len(runs) {

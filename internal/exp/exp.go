@@ -139,7 +139,6 @@ func (s *Session) runConfigured(name string, w *tango.Workload, cfg machine.Conf
 		cfg.Mesh.Faults = ob.Faults
 	}
 	cfg.Deadline = ob.Deadline
-	cfg.Shards = s.Shards()
 	m, err := machine.New(cfg)
 	if err != nil {
 		return nil, fail("build", err)

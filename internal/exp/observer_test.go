@@ -18,7 +18,7 @@ func TestObserverCheckHook(t *testing.T) {
 		ms := &check.MemSink{}
 		sinks[run] = ms
 		return ms
-	}}, 0, 0)
+	}}, 0)
 
 	checked := s.RunApp("FFT", 4, "base", machine.FullVec)
 	if len(sinks) != 1 {

@@ -9,32 +9,26 @@ import (
 
 // Session binds one experiment campaign's execution policy: the
 // observability hooks installed on every run, the worker pool independent
-// simulations are sharded across, the machine-core shard width, and the
-// job meter the sweep footer reads. Every driver (SchemeComparison,
-// SparsePerformance, WriteReport, ...) is a Session method; two sessions
-// never share state, so tests and tools can run campaigns concurrently
-// with different instrumentation.
+// simulations are spread across, and the job meter the sweep footer reads.
+// Every driver (SchemeComparison, SparsePerformance, WriteReport, ...) is a
+// Session method; two sessions never share state, so tests and tools can
+// run campaigns concurrently with different instrumentation.
 //
 // Every driver lays out its run grid as an indexed job list, collects
 // results in submission order, and only then renders tables — so output
-// is byte-identical at any Parallelism. The shard width is likewise
-// invisible in the output: every width shares one deterministic event
-// order, and runs whose configuration shares state across clusters —
-// fault injection, the invariant checker, mesh port contention — clamp to
-// width 1 (see machine.Machine.FallbackReason).
+// is byte-identical at any Parallelism. Each simulation runs on one
+// goroutine (see internal/machine); parallelism is across runs only.
 type Session struct {
-	mu     sync.RWMutex
-	obs    Observer
-	pool   *runner.Pool
-	shards int
-	meter  stats.JobMeter
+	mu    sync.RWMutex
+	obs   Observer
+	pool  *runner.Pool
+	meter stats.JobMeter
 }
 
 // NewSession builds a session running at most parallel simulations
-// concurrently (<= 0 selects GOMAXPROCS), each on a machine core with the
-// given shard width (0 selects the default width 1), observed by o.
-func NewSession(o Observer, parallel, shards int) *Session {
-	return &Session{obs: o, pool: runner.New(parallel), shards: shards}
+// concurrently (<= 0 selects GOMAXPROCS), observed by o.
+func NewSession(o Observer, parallel int) *Session {
+	return &Session{obs: o, pool: runner.New(parallel)}
 }
 
 // Observer returns the session's observability hooks.
@@ -42,13 +36,6 @@ func (s *Session) Observer() Observer {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.obs
-}
-
-// Shards returns the machine-core shard width applied to every run.
-func (s *Session) Shards() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.shards
 }
 
 // Parallelism returns the concurrency bound of the session's pool.

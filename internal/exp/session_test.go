@@ -8,9 +8,9 @@ import (
 )
 
 // ts is the shared session the in-package tests drive: default
-// parallelism, the default machine core width, no instrumentation. Tests
-// that exercise a specific pool width or observer build their own Session.
-var ts = NewSession(Observer{}, 0, 0)
+// parallelism, no instrumentation. Tests that exercise a specific pool
+// width or observer build their own Session.
+var ts = NewSession(Observer{}, 0)
 
 // TestParseSections: the -only parser returns the selected keys in
 // canonical order, and rejects an unknown key — alone or next to valid

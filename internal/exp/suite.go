@@ -41,7 +41,7 @@ func LoadWorkload(name string, procs int) (*tango.Workload, error) {
 }
 
 // ExecuteSpec builds and runs one declarative suite entry end to end
-// under the session's observer, shard width and deadline, returning the
+// under the session's observer and deadline, returning the
 // typed *RunError on failure instead of panicking — the form supervised
 // campaign jobs need. The run is labeled run.Name in every observability
 // stream.

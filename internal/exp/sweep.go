@@ -61,7 +61,7 @@ func sweepSection(w io.Writer, title string) {
 
 // RenderSweepSection renders one sweep section to w — the unit of work a
 // resumable sweep campaign journals. Output is deterministic for a fixed
-// (key, procs, trials) triple at any parallelism and shard width, which
+// (key, procs, trials) triple at any parallelism, which
 // the cmd/sweep golden tests and the campaign crash/resume guarantee both
 // rely on; keep wall-clock output out of here. Keys come from
 // ParseSections; an unknown key renders nothing.
@@ -119,7 +119,7 @@ func (s *Session) RenderSweepSection(w io.Writer, key string, procs, trials int)
 
 // Sweep renders the given section keys (see ParseSections) to w — the
 // whole paper evaluation for SweepSectionKeys. Byte-identical at any
-// parallelism and shard width.
+// parallelism.
 func (s *Session) Sweep(w io.Writer, keys []string, procs, trials int) {
 	for _, key := range keys {
 		s.RenderSweepSection(w, key, procs, trials)

@@ -120,19 +120,6 @@ type Config struct {
 	Timing          Timing      // zero value -> DefaultTiming
 	Seed            int64
 
-	// Shards is the machine core's width: clusters are partitioned across
-	// Shards timing wheels, each run by its own worker goroutine in
-	// lockstep windows bounded by the minimum cross-shard mesh latency
-	// (conservative lookahead). 0 selects the default width 1, one wheel
-	// on the calling goroutine. Results — including metrics, traces, spans
-	// and queue-depth samples — are byte-identical at every width, because
-	// equal-time events are ordered by (scheduling cluster, per-cluster
-	// sequence), which no partition changes. Configurations that share
-	// mutable state across clusters (fault injection, the invariant
-	// checker, mesh port contention, deliberate protocol faults) clamp to
-	// width 1; Machine.FallbackReason names the flag.
-	Shards int
-
 	// Retry tunes the timeout/retry delivery recovery active while
 	// Mesh.Faults is enabled.
 	Retry RetryConfig
@@ -153,17 +140,12 @@ type Config struct {
 	// directories, gates and RACs) records into; a private registry is
 	// created when nil, readable via Machine.MetricsSnapshot. A machine is
 	// single-writer and reads its own counters back into Result, so a
-	// registry must not be shared between machines. Runs wider than 1
-	// record into per-shard registries and merge them into Metrics at
-	// quiescence, so an external registry sees the same totals at every
-	// width.
+	// registry must not be shared between machines.
 	Metrics *obs.Registry
 	// Trace, when non-nil, receives structured coherence events (request
 	// issues, directory lookups, invalidation fan-outs, overflow bursts,
 	// directory evictions, lock retries). nil disables tracing at the cost
-	// of one pointer test per would-be event. Runs wider than 1 buffer
-	// events per shard and flush them in the canonical (time, key) order at
-	// quiescence, so the event stream is byte-identical at every width.
+	// of one pointer test per would-be event.
 	Trace *obs.Tracer
 	// Spans, when non-nil, receives parented transaction spans: every
 	// remote memory transaction (read miss, write miss, upgrade, lock
@@ -173,21 +155,19 @@ type Config struct {
 	// travel). Enabling spans also fills the tx.lat.<class> latency
 	// histograms. nil disables span tracing at the cost of one pointer
 	// test per would-be transaction. Span IDs derive from the emitting
-	// cluster, and runs wider than 1 flush buffered spans in canonical
-	// order at quiescence, so span output is byte-identical at every width.
+	// cluster and its private sequence.
 	Spans *obs.SpanRecorder
 	// SampleEvery, when > 0, samples queue depths every SampleEvery
 	// cycles into the dir.queue.depth, dir.entries.live and
 	// mesh.port.backlog histograms: per-cluster directory-controller
 	// backlog, live directory entries, and network ejection-port backlog.
 	// Sampling reads simulator state without mutating it, so results are
-	// identical with sampling on or off, at every shard width.
+	// identical with sampling on or off.
 	SampleEvery sim.Time
 	// Live, when non-nil, receives atomically-published in-run progress
-	// snapshots (cycles simulated, events fired, per-shard wheel times,
-	// merged metrics) roughly every 100ms of wall clock, plus a final
-	// sample with Done set. Runs publish between window barriers, where
-	// every shard is quiescent; publishing reads simulator state without
+	// snapshots (cycles simulated, events fired, metrics) roughly every
+	// 100ms of wall clock, plus a final sample with Done set. Runs publish
+	// at window boundaries; publishing reads simulator state without
 	// mutating it, so results are unchanged.
 	Live *obs.LiveRun
 	// Check enables the runtime coherence invariant checker: a shadow
@@ -269,9 +249,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Retry.MaxRetries < 0 {
 		return fmt.Errorf("machine: Retry.MaxRetries must not be negative")
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("machine: Shards must not be negative (0 selects width 1)")
 	}
 	if c.Cache != (cache.Config{}) {
 		// Pre-check the cache geometry so a bad flag combination is an

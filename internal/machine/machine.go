@@ -20,70 +20,25 @@ import (
 type Machine struct {
 	cfg      Config
 	t        Timing
-	net      *mesh.Mesh  // shard 0's mesh: topology queries, and the fault model's only instance
+	net      *mesh.Mesh
 	scheme   core.Scheme // cluster 0's scheme instance, which names and sizes the Result
 	clusters []*clusterNode
 	procs    []*proc
+	barriers *protocol.BarrierTable
 
-	// core runs the event loop on one timing wheel per shard (see
-	// sharded.go); res holds each shard's facilities. fallback names the
-	// flag that clamped a requested width to 1, and settled is set once the
-	// shards have merged into shard 0 at quiescence.
-	core     *shardedCore
-	res      []*shardRes
-	fallback string
-	settled  bool
+	// w is the one timing wheel every event fires on, stepped on the
+	// calling goroutine (see loop.go). settled is set once the per-cluster
+	// gauges have been folded into the registry at quiescence.
+	w       *sim.Wheel
+	settled bool
 
-	// Observability. reg is shard 0's registry (Config.Metrics when the
-	// caller supplied one); the other shards merge into it at quiescence.
+	// Observability. reg is Config.Metrics when the caller supplied one.
 	// The tracer is nil when tracing is off, and spans is nil when span
 	// tracing is off; each processor carries its own open lock-round
 	// transaction (proc.lockTx).
 	reg   *obs.Registry
 	tr    *obs.Tracer
 	spans *obs.SpanRecorder
-
-	// chk is the runtime invariant checker (nil when Config.Check is off;
-	// the nil test is the whole disabled-path cost). faultFired latches the
-	// single-shot fault injection (Config.Fault). copyBuf is the scratch
-	// slice blockCopies reuses to build predicate views.
-	chk        *check.Recorder
-	faultFired bool
-	copyBuf    []check.Copy
-
-	// Delivery recovery, active only when the mesh fault model is on
-	// (faultsOn): every message becomes a sequence-numbered netMsg envelope
-	// in inflight until delivered, with retry and duplicate-suppression
-	// counters; aborted carries the watchdog's or deadline's verdict and
-	// stops the run loop. See net.go.
-	faultsOn      bool
-	msgSeq        uint64
-	inflight      map[uint64]*netMsg
-	retryCnt      *obs.Counter // "net.retry.count"
-	retryGiveup   *obs.Counter // "net.retry.giveup"
-	dupSuppressed *obs.Counter // "net.dup.suppressed"
-	aborted       *StuckError
-
-	// recallsPending counts replacement recalls queued or in flight per
-	// global block (checker bookkeeping only, nil when Check is off). A
-	// block whose directory entry is reclaimed, re-allocated by a request
-	// replayed off the gate, and reclaimed again can owe two recalls at
-	// once; the first to complete must not be blamed for copies the second
-	// snapshotted and will invalidate.
-	recallsPending map[int64]int
-}
-
-// shardRes bundles the facilities the clusters of one shard record into
-// and send through: a metrics registry, a mesh accounting instance, the
-// central-barrier table, and the figure and latency histograms. A shard's
-// clusters are their only writers, so shards never share mutable state. At
-// quiescence every shard merges into shard 0, whose registry and
-// histograms are the machine's, by counter sums and bucket folds — totals
-// that do not depend on how the clusters were partitioned.
-type shardRes struct {
-	reg      *obs.Registry
-	net      *mesh.Mesh
-	barriers *protocol.BarrierTable
 
 	kindCtr     [protocol.NumMsgKinds]*obs.Counter // per-message-kind counters ("msg.<kind>")
 	lockRetries *obs.Counter                       // "lock.retries"
@@ -105,55 +60,47 @@ type shardRes struct {
 	replHist  stats.Histogram // invalidations per sparse replacement
 	readLat   stats.LatHist   // read completion latency
 	writeLat  stats.LatHist   // write completion latency (to ownership)
+
+	// chk is the runtime invariant checker (nil when Config.Check is off;
+	// the nil test is the whole disabled-path cost). faultFired latches the
+	// single-shot fault injection (Config.Fault). copyBuf is the scratch
+	// slice blockCopies reuses to build predicate views.
+	chk        *check.Recorder
+	faultFired bool
+	copyBuf    []check.Copy
+
+	// Delivery recovery, active only when the mesh fault model is on
+	// (faultsOn): every message becomes a sequence-numbered netMsg envelope
+	// in inflight until delivered, with retry and duplicate-suppression
+	// counters. See net.go.
+	faultsOn      bool
+	msgSeq        uint64
+	inflight      map[uint64]*netMsg
+	retryCnt      *obs.Counter // "net.retry.count"
+	retryGiveup   *obs.Counter // "net.retry.giveup"
+	dupSuppressed *obs.Counter // "net.dup.suppressed"
+
+	// recallsPending counts replacement recalls queued or in flight per
+	// global block (checker bookkeeping only, nil when Check is off). A
+	// block whose directory entry is reclaimed, re-allocated by a request
+	// replayed off the gate, and reclaimed again can owe two recalls at
+	// once; the first to complete must not be blamed for copies the second
+	// snapshotted and will invalidate.
+	recallsPending map[int64]int
 }
 
-// txSlabLen is how many transaction records a shard allocates at once.
+// txSlabLen is how many transaction records the machine allocates at once.
 const txSlabLen = 256
-
-// newShardRes builds one shard's facilities recording into reg. Metric
-// names are the same in every shard, so the registries merge back into one
-// namespace; the conditionals keep a disabled feature from contributing
-// zero-valued series.
-func newShardRes(cfg *Config, reg *obs.Registry) *shardRes {
-	mc := cfg.Mesh
-	mc.Metrics = reg
-	r := &shardRes{
-		reg:         reg,
-		net:         mesh.New(mc),
-		barriers:    protocol.NewBarrierTable(cfg.Procs),
-		lockRetries: reg.Counter("lock.retries"),
-		mergedReads: reg.Counter("rac.merged.reads"),
-		extraInval:  reg.Counter("dir.inval.extraneous"),
-		invalFan:    reg.Histogram("dir.inval.fanout", nil),
-		replFan:     reg.Histogram("dir.repl.fanout", nil),
-	}
-	for k := range r.kindCtr {
-		r.kindCtr[k] = reg.Counter(protocol.MsgKind(k).MetricName())
-	}
-	if cfg.Spans != nil {
-		for c := range r.txLat {
-			r.txLat[c] = reg.Histogram(txLatName[c], obs.LatBuckets)
-		}
-	}
-	if cfg.SampleEvery > 0 {
-		r.dirDepth = reg.Histogram("dir.queue.depth", obs.QueueBuckets)
-		r.dirLive = reg.Histogram("dir.entries.live", obs.QueueBuckets)
-		r.portDepth = reg.Histogram("mesh.port.backlog", obs.QueueBuckets)
-	}
-	return r
-}
 
 // clusterNode is one processing node: processors, bus, memory+directory.
 //
 // The scheme instance (some schemes draw victims from a private random
-// stream), the lock table built on it and the RAC occupancy gauge are per
-// cluster, not per shard: their evolution would otherwise depend on which
-// clusters share a shard.
+// stream) and the lock table built on it are per cluster, so each
+// cluster's victim stream is its own. The RAC occupancy gauge is per
+// cluster too: "rac.pending" reports the highest peak any one cluster
+// reached, folded into the registry at quiescence.
 type clusterNode struct {
 	id      int
-	res     *shardRes   // the owning shard's facilities
-	w       *sim.Wheel  // the owning shard's wheel
-	shard   int         // owning shard
 	evSeq   uint64      // per-cluster event sequence, the wheel ordering key
 	spanSeq uint64      // per-cluster span-ID sequence (see spanID)
 	scheme  core.Scheme // this cluster's scheme instance
@@ -267,6 +214,7 @@ func New(cfg Config) (*Machine, error) {
 	m := &Machine{
 		cfg:   cfg,
 		t:     cfg.Timing,
+		w:     sim.NewWheel(0),
 		reg:   reg,
 		tr:    cfg.Trace,
 		spans: cfg.Spans,
@@ -276,29 +224,32 @@ func New(cfg Config) (*Machine, error) {
 		m.recallsPending = make(map[int64]int)
 	}
 
-	width := cfg.Shards
-	if width > 1 {
-		if r := clampReason(&cfg); r != "" {
-			m.fallback = r
-			width = 1
+	mc := cfg.Mesh
+	mc.Metrics = reg
+	m.net = mesh.New(mc)
+	m.barriers = protocol.NewBarrierTable(cfg.Procs)
+	m.lockRetries = reg.Counter("lock.retries")
+	m.mergedReads = reg.Counter("rac.merged.reads")
+	m.extraInval = reg.Counter("dir.inval.extraneous")
+	m.invalFan = reg.Histogram("dir.inval.fanout", nil)
+	m.replFan = reg.Histogram("dir.repl.fanout", nil)
+	for k := range m.kindCtr {
+		m.kindCtr[k] = reg.Counter(protocol.MsgKind(k).MetricName())
+	}
+	// A disabled feature contributes no zero-valued series.
+	if cfg.Spans != nil {
+		for c := range m.txLat {
+			m.txLat[c] = reg.Histogram(txLatName[c], obs.LatBuckets)
 		}
 	}
-	width = max(1, min(width, clusters))
-	m.res = make([]*shardRes, width)
-	for i := range m.res {
-		sreg := reg
-		if i > 0 {
-			sreg = obs.NewRegistry()
-		}
-		m.res[i] = newShardRes(&cfg, sreg)
+	if cfg.SampleEvery > 0 {
+		m.dirDepth = reg.Histogram("dir.queue.depth", obs.QueueBuckets)
+		m.dirLive = reg.Histogram("dir.entries.live", obs.QueueBuckets)
+		m.portDepth = reg.Histogram("mesh.port.backlog", obs.QueueBuckets)
 	}
-	m.net = m.res[0].net
-	m.core = newShardedCore(m, width)
 	reg.Gauge("rac.pending") // the per-cluster gauges fold into it at quiescence
 
 	for c := 0; c < clusters; c++ {
-		sh := c % width
-		res := m.res[sh]
 		scheme, err := cfg.Scheme(clusters)
 		if err != nil {
 			return nil, fmt.Errorf("machine: %w", err)
@@ -312,7 +263,7 @@ func New(cfg Config) (*Machine, error) {
 				Assoc:       cfg.Overflow.Assoc,
 				Policy:      cfg.Overflow.Policy,
 				Seed:        rng.Mix(cfg.Seed, int64(c)),
-				Metrics:     res.reg,
+				Metrics:     reg,
 			})
 		} else if cfg.Sparse.Entries > 0 {
 			assoc := cfg.Sparse.Assoc
@@ -325,16 +276,13 @@ func New(cfg Config) (*Machine, error) {
 				Assoc:   assoc,
 				Policy:  cfg.Sparse.Policy,
 				Seed:    rng.Mix(cfg.Seed, int64(c)),
-				Metrics: res.reg,
+				Metrics: reg,
 			})
 		} else {
-			dir = sparse.NewFullMap(scheme, res.reg)
+			dir = sparse.NewFullMap(scheme, reg)
 		}
 		cl := &clusterNode{
 			id:            c,
-			res:           res,
-			w:             m.core.wheels[sh],
-			shard:         sh,
 			scheme:        scheme,
 			locks:         protocol.NewLockTable(scheme),
 			dir:           dir,
@@ -348,7 +296,7 @@ func New(cfg Config) (*Machine, error) {
 			treeWaiting:   make(map[int64][]*proc),
 			wbExpected:    make(map[int64]int),
 		}
-		cl.gate.Waits = res.reg.Counter("gate.waits")
+		cl.gate.Waits = reg.Counter("gate.waits")
 		cl.rac.Pend = &cl.racPend
 		if m.chk != nil {
 			cl.gate.Anomaly = func(op string, block int64) { m.protoAnomaly(cl, op, block) }
@@ -384,39 +332,37 @@ func New(cfg Config) (*Machine, error) {
 // Scheme returns the machine's directory entry scheme.
 func (m *Machine) Scheme() core.Scheme { return m.scheme }
 
-// Shards reports the width the machine actually runs with: the requested
-// Config.Shards (a zero value means 1), capped at the cluster count, or 1
-// when the configuration clamps it (see FallbackReason).
-func (m *Machine) Shards() int { return m.core.n }
+// Shards returns 1: every machine runs on one timing wheel on the calling
+// goroutine. It is kept, with FallbackReason, because perfbench prints both
+// in its engine line.
+func (m *Machine) Shards() int { return 1 }
 
-// FallbackReason names the flag that clamped a requested width above 1 to
-// width 1, or returns "" if nothing did.
-func (m *Machine) FallbackReason() string { return m.fallback }
+// FallbackReason returns "": no configuration changes the core a machine
+// runs on. It is kept, with Shards, because perfbench prints both in its
+// engine line.
+func (m *Machine) FallbackReason() string { return "" }
 
 // nextKey returns the cluster's next event ordering key: the scheduling
 // cluster in the high bits, its per-cluster sequence below. Keys are unique
 // per cluster and ordered first by cluster id on ties, so the total
-// (time, key) event order depends only on per-cluster scheduling order —
-// never on which shard ran first — which is what makes results
-// independent of the shard count.
+// (time, key) event order depends only on per-cluster scheduling order.
 func (c *clusterNode) nextKey() uint64 {
 	c.evSeq++
 	return uint64(c.id)<<40 | c.evSeq
 }
 
-// now returns the current simulation time in cluster c's context: its
-// shard's wheel time. Every protocol event runs in the context of exactly
-// one cluster, so passing that cluster is always possible.
-func (m *Machine) now(c *clusterNode) sim.Time { return c.w.Now() }
+// now returns the current simulation time.
+func (m *Machine) now() sim.Time { return m.w.Now() }
 
-// at schedules fn at absolute time t in cluster c's context.
+// at schedules fn at absolute time t in cluster c's context: the event
+// takes c's next ordering key.
 func (m *Machine) at(c *clusterNode, t sim.Time, fn sim.Event) {
-	c.w.AtKey(t, c.nextKey(), fn)
+	m.w.AtKey(t, c.nextKey(), fn)
 }
 
 // after schedules fn delay cycles from now in cluster c's context.
 func (m *Machine) after(c *clusterNode, delay sim.Time, fn sim.Event) {
-	m.at(c, c.w.Now()+delay, fn)
+	m.at(c, m.now()+delay, fn)
 }
 
 // block converts a byte address to a block number.
@@ -453,7 +399,7 @@ func (m *Machine) dirEntry(block int64) core.Entry {
 // busOp reserves cluster c's bus for dur cycles starting no earlier than
 // now, FCFS, and returns the completion time.
 func (m *Machine) busOp(c *clusterNode, dur sim.Time) sim.Time {
-	start := m.now(c)
+	start := m.now()
 	if c.busFree > start {
 		start = c.busFree
 	}
@@ -464,7 +410,7 @@ func (m *Machine) busOp(c *clusterNode, dur sim.Time) sim.Time {
 
 // dirOp reserves cluster c's directory controller, FCFS.
 func (m *Machine) dirOp(c *clusterNode, dur sim.Time) sim.Time {
-	start := m.now(c)
+	start := m.now()
 	if c.dirFree > start {
 		start = c.dirFree
 	}
@@ -476,7 +422,7 @@ func (m *Machine) dirOp(c *clusterNode, dur sim.Time) sim.Time {
 // occupyDir extends cluster c's directory busy window by dur without
 // waiting for it (used to model the finite invalidation send rate).
 func (m *Machine) occupyDir(c *clusterNode, dur sim.Time) {
-	if now := m.now(c); c.dirFree < now {
+	if now := m.now(); c.dirFree < now {
 		c.dirFree = now
 	}
 	c.dirFree += dur
@@ -499,37 +445,28 @@ func (m *Machine) sendTx(kind protocol.MsgKind, from, to int, tx *txState, arriv
 		panic(fmt.Sprintf("machine: message %v from cluster %d to itself", kind, from))
 	}
 	fc := m.clusters[from]
-	fc.res.kindCtr[kind].Inc()
+	m.kindCtr[kind].Inc()
 	if m.faultsOn {
 		m.sendReliable(fc, kind, to, tx, arrive)
 		return 0
 	}
-	t := fc.res.net.SendAt(fc.w.Now(), from, to)
-	m.core.relay(fc, m.clusters[to], t, arrive)
+	t := m.net.SendAt(m.now(), from, to)
+	m.at(fc, t, arrive)
 	return t
 }
 
 // trace emits one structured event when tracing is on. The nil test is the
-// whole disabled-path cost. node is always the executing cluster. At width
-// 1 the event goes straight to the tracer; on wider runs it is buffered in
-// the cluster's shard, stamped with the firing position, and replayed in
-// canonical order at quiescence (see shardobs.go).
+// whole disabled-path cost. node is always the executing cluster.
 func (m *Machine) trace(kind obs.EventKind, node int, block, arg int64) {
 	if m.tr == nil {
 		return
 	}
-	c := m.clusters[node]
-	ev := obs.Event{T: uint64(c.w.Now()), Node: int32(node), Kind: kind, Block: block, Arg: arg}
-	if m.core.n == 1 {
-		m.tr.Emit(ev)
-		return
-	}
-	m.core.obsBuf[c.shard].pushEv(keyedEvent{key: c.w.FiringKey(), ev: ev})
+	m.tr.Emit(obs.Event{T: uint64(m.now()), Node: int32(node), Kind: kind, Block: block, Arg: arg})
 }
 
 // MetricsSnapshot freezes the machine's metrics registry — every named
-// counter, gauge and histogram the run recorded, merged across shards
-// once the run has finished.
+// counter, gauge and histogram the run recorded, with the per-cluster
+// gauges folded in once the run has finished.
 func (m *Machine) MetricsSnapshot() obs.Snapshot { return m.reg.Snapshot() }
 
 // FlushTrace drains the tracer's pending events to its sink and reports
@@ -547,14 +484,14 @@ func (m *Machine) complete(p *proc, at sim.Time) {
 
 // stepProc issues p's next reference, or retires p.
 func (m *Machine) stepProc(p *proc) {
-	now := m.now(p.cl)
+	now := m.now()
 	p.lastProgress = now
 	if p.opPending {
 		p.opPending = false
 		if p.opWrite {
-			p.cl.res.writeLat.Add(m.cycleDelta(now, p.opStart, "write latency"))
+			m.writeLat.Add(m.cycleDelta(now, p.opStart, "write latency"))
 		} else {
-			p.cl.res.readLat.Add(m.cycleDelta(now, p.opStart, "read latency"))
+			m.readLat.Add(m.cycleDelta(now, p.opStart, "read latency"))
 		}
 	}
 	ref, ok := p.stream.Next()
@@ -584,7 +521,7 @@ func (m *Machine) stepProc(p *proc) {
 
 func (m *Machine) finishProc(p *proc) {
 	p.done = true
-	p.finish = m.now(p.cl)
+	p.finish = m.now()
 }
 
 // fence runs fn once p's outstanding invalidation acknowledgements have
@@ -592,14 +529,14 @@ func (m *Machine) finishProc(p *proc) {
 func (m *Machine) fence(p *proc, fn func()) {
 	if p.pendingAcks == 0 {
 		if m.chk != nil {
-			m.chk.Drained(p.id, uint64(m.now(p.cl)))
+			m.chk.Drained(p.id, uint64(m.now()))
 		}
 		fn()
 		return
 	}
 	if p.afterDrain != nil {
 		if m.chk != nil {
-			m.chk.Violationf(check.RuleProtocol, int32(p.cl.id), -1, uint64(m.now(p.cl)),
+			m.chk.Violationf(check.RuleProtocol, int32(p.cl.id), -1, uint64(m.now()),
 				"double fence: proc %d reached a second synchronization point with one already pending", p.id)
 		}
 		panic(fmt.Sprintf("machine: double fence at proc %d", p.id))
@@ -613,21 +550,21 @@ func (m *Machine) fence(p *proc, fn func()) {
 // overtake it when the fault model delays or retries the reply, or when
 // degenerate timing ties the two.
 func (m *Machine) ackArrived(p *proc) {
-	p.lastProgress = m.now(p.cl)
+	p.lastProgress = m.now()
 	if p.grantOwed {
 		p.heldAcks++
 		return
 	}
 	p.pendingAcks--
 	if m.chk != nil {
-		m.chk.AckArrived(p.id, uint64(m.now(p.cl)))
+		m.chk.AckArrived(p.id, uint64(m.now()))
 	}
 	if p.pendingAcks < 0 {
 		panic(fmt.Sprintf("machine: negative pending acks at proc %d", p.id))
 	}
 	if p.pendingAcks == 0 {
 		if m.chk != nil {
-			m.chk.Drained(p.id, uint64(m.now(p.cl)))
+			m.chk.Drained(p.id, uint64(m.now()))
 		}
 		if fn := p.afterDrain; fn != nil {
 			p.afterDrain = nil
@@ -664,15 +601,14 @@ func (m *Machine) Run(w *tango.Workload) (*Result, error) {
 		m.at(p.cl, 0, p.stepFn)
 	}
 	if m.cfg.SampleEvery > 0 {
-		for s := range m.res {
-			m.scheduleSample(s, m.cfg.SampleEvery)
-		}
+		m.scheduleSample(m.cfg.SampleEvery)
 	}
 	if m.cfg.Live != nil {
 		defer m.publishLive(true)
 	}
-	err := m.core.run()
-	m.settle()
+	err := m.run()
+	m.foldGauges(m.reg)
+	m.settled = true
 	if err != nil {
 		return nil, err
 	}
@@ -683,9 +619,8 @@ func (m *Machine) Run(w *tango.Workload) (*Result, error) {
 				// abandoned after its retry budget, so the dependent
 				// transaction can never complete. Report it like a watchdog
 				// catch, with the full dump.
-				m.abort(fmt.Sprintf("event queue drained with proc %d unfinished (%d refs remaining, %d acks pending) — undeliverable message",
+				return nil, m.abort(fmt.Sprintf("event queue drained with proc %d unfinished (%d refs remaining, %d acks pending) — undeliverable message",
 					p.id, p.stream.Remaining(), p.pendingAcks))
-				return nil, m.aborted
 			}
 			return nil, fmt.Errorf("machine: deadlock — proc %d stuck with %d refs remaining, %d acks pending",
 				p.id, p.stream.Remaining(), p.pendingAcks)

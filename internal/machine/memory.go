@@ -18,7 +18,7 @@ func (m *Machine) access(p *proc, write bool, addr int64) {
 // accessBlock runs one access by block number (used directly when MSHR
 // waiters retry).
 func (m *Machine) accessBlock(p *proc, write bool, b int64) {
-	now := m.now(p.cl)
+	now := m.now()
 	if !p.opPending {
 		p.opPending = true
 		p.opWrite = write
@@ -39,7 +39,7 @@ func (m *Machine) accessBlock(p *proc, write bool, b int64) {
 // fill installs block b in p's caches and handles any writeback the fill
 // displaces.
 func (m *Machine) fill(p *proc, b int64, st cache.State) {
-	v := p.h.Fill(b, st, m.now(p.cl))
+	v := p.h.Fill(b, st, m.now())
 	m.handleVictim(p, v)
 }
 
@@ -78,12 +78,12 @@ func (m *Machine) handleVictim(p *proc, v cache.Victim) {
 		// A busy gate with the entry dirty-owned by the sender can only
 		// mean an undelivered ownership grant back to the sender, which
 		// this writeback predates — treat it as stale too.
-		if e := hc.dir.Lookup(m.dirKey(vb), m.now(hc)); e != nil && e.Dirty() && e.Owner() == from &&
+		if e := hc.dir.Lookup(m.dirKey(vb), m.now()); e != nil && e.Dirty() && e.Owner() == from &&
 			!m.clusterHoldsDirty(m.clusters[from], vb) && !hc.gate.Busy(vb) {
 			e.Reset()
 			hc.dir.Release(m.dirKey(vb))
 		}
-		m.checkBlock(hc, vb)
+		m.checkBlock(vb)
 	})
 }
 
@@ -92,7 +92,7 @@ func (m *Machine) handleVictim(p *proc, v cache.Victim) {
 // the access by itself.
 func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 	c := p.cl
-	now := m.now(c)
+	now := m.now()
 	home := m.home(b)
 	if write {
 		localDirty := false
@@ -125,7 +125,7 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 			// Another local processor's ownership request is in flight;
 			// retry over the bus when it completes.
 			c.writeWaiters[b] = append(c.writeWaiters[b], mshrWaiter{p: p, write: true})
-			c.res.mergedReads.Inc()
+			m.mergedReads.Inc()
 			return
 		}
 		c.pendingWrite[b] = true
@@ -146,7 +146,7 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 	// be superseded, so park and retry once the write lands.
 	if c.pendingWrite[b] {
 		c.writeWaiters[b] = append(c.writeWaiters[b], mshrWaiter{p: p})
-		c.res.mergedReads.Inc()
+		m.mergedReads.Inc()
 		return
 	}
 	// Another local cache can supply the data directly.
@@ -178,7 +178,7 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 	// second request.
 	if followers, ok := c.pendingReads[b]; ok {
 		c.pendingReads[b] = append(followers, p)
-		c.res.mergedReads.Inc()
+		m.mergedReads.Inc()
 		return
 	}
 	c.pendingReads[b] = nil
@@ -191,8 +191,8 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 // A poisoned read delivers its data without caching it.
 func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 	m.txPhase(p.cl, tx, obs.PhReplyTravel)
-	m.txEnd(p.cl, tx)
-	now := m.now(p.cl)
+	m.txEnd(tx)
+	now := m.now()
 	poisoned := p.cl.poisonedReads[b]
 	procs := append([]*proc{p}, p.cl.pendingReads[b]...)
 	delete(p.cl.pendingReads, b)
@@ -203,7 +203,7 @@ func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 		}
 		m.complete(q, now+m.t.Fill)
 	}
-	m.checkBlock(p.cl, b)
+	m.checkBlock(b)
 }
 
 // invalidateCluster removes block b from every cache of cluster c and, if
@@ -226,7 +226,7 @@ func (m *Machine) invalidateCluster(c *clusterNode, b int64, directed bool) {
 		hit = true
 	}
 	if directed && !hit {
-		c.res.extraInval.Inc()
+		m.extraInval.Inc()
 	}
 }
 
@@ -250,11 +250,11 @@ func (m *Machine) sendSharingWB(from, home int, b int64) {
 		// dirty again — or a grant back to it is still in flight (gate
 		// busy with the entry dirty-owned by the sender) — the downgrade
 		// this message reports is ancient.
-		if e := hc.dir.Lookup(m.dirKey(b), m.now(hc)); e != nil && e.Dirty() && e.Owner() == from &&
+		if e := hc.dir.Lookup(m.dirKey(b), m.now()); e != nil && e.Dirty() && e.Owner() == from &&
 			!m.clusterHoldsDirty(m.clusters[from], b) && !hc.gate.Busy(b) {
 			e.ClearDirty()
 		}
-		m.checkBlock(hc, b)
+		m.checkBlock(b)
 	})
 }
 
@@ -265,7 +265,7 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 		h.gate.Wait(b, func() { m.homeLocalRead(p, b) })
 		return
 	}
-	now := m.now(h)
+	now := m.now()
 	// Re-snoop: a sibling may have obtained a copy while this request
 	// waited on the gate; the bus supplies it directly.
 	for _, q := range h.procs {
@@ -304,7 +304,7 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 			}
 			m.send(protocol.DataReply, owner, h.id, func() {
 				m.fill(p, b, cache.Shared)
-				m.complete(p, m.now(h)+m.t.Fill)
+				m.complete(p, m.now()+m.t.Fill)
 				m.reopen(h, b)
 			})
 		})
@@ -319,7 +319,7 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 		h.gate.Wait(b, func() { m.homeLocalWrite(p, b) })
 		return
 	}
-	now := m.now(h)
+	now := m.now()
 	// Re-snoop: siblings may have picked up copies while this request
 	// waited on the gate; a sibling's dirty copy transfers ownership
 	// over the bus, shared copies are invalidated.
@@ -342,8 +342,8 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 		if e != nil {
 			h.dir.Release(m.dirKey(b))
 		}
-		h.res.invalHist.Add(0)
-		h.res.invalFan.Observe(0)
+		m.invalHist.Add(0)
+		m.invalFan.Observe(0)
 		m.fill(p, b, cache.Dirty)
 		m.complete(p, now+m.t.Fill)
 		return
@@ -362,7 +362,7 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 				m.applyInval(oc, b, false)
 				m.send(protocol.OwnershipReply, owner, h.id, func() {
 					m.fill(p, b, cache.Dirty)
-					m.complete(p, m.now(h)+m.t.Fill)
+					m.complete(p, m.now()+m.t.Fill)
 					m.reopen(h, b)
 				})
 			})
@@ -374,8 +374,8 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 	targets := e.Sharers()
 	targets.Remove(h.id)
 	n := targets.Count()
-	h.res.invalHist.Add(n)
-	h.res.invalFan.Observe(uint64(n))
+	m.invalHist.Add(n)
+	m.invalFan.Observe(uint64(n))
 	if n > 0 && !e.Precise() {
 		m.trace(obs.EvOverflow, h.id, b, int64(n))
 	}
@@ -388,7 +388,7 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 	m.fill(p, b, cache.Dirty)
 	m.complete(p, now+m.t.Fill)
 	m.sendInvals(h, b, targets, p, nil)
-	m.checkBlock(h, b)
+	m.checkBlock(b)
 }
 
 // sendInvals sends invalidations for block b to every cluster in targets;
@@ -400,7 +400,7 @@ func (m *Machine) sendInvals(h *clusterNode, b int64, targets bitset.Set, ackTo 
 	if n > 0 {
 		m.trace(obs.EvInvalFanout, h.id, b, int64(n))
 	}
-	m.txFanout(h, tx, n, false)
+	m.txFanout(tx, n, false)
 	if m.chk != nil {
 		m.chk.InvalSent(b, n)
 	}
@@ -422,7 +422,7 @@ func (m *Machine) sendInvals(h *clusterNode, b int64, targets bitset.Set, ackTo 
 			done := m.busOp(tc, m.t.InvalBus)
 			m.at(tc, done, func() {
 				m.applyInval(tc, b, false)
-				m.invalApplied(tc, b)
+				m.invalApplied(b)
 				m.sendTx(protocol.AckMsg, t, ackTo.cl.id, tx, ack)
 			})
 		})
@@ -443,7 +443,7 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 		h.gate.Wait(b, func() { m.serveRemoteRead(p, b, h, tx) })
 		return
 	}
-	now := m.now(h)
+	now := m.now()
 	rc := p.cl.id
 	e := h.dir.Lookup(m.dirKey(b), now)
 	if e != nil && e.Dirty() && e.Owner() != rc {
@@ -522,7 +522,7 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 		h.gate.Wait(b, func() { m.serveRemoteWrite(p, b, h, upgrade, tx) })
 		return
 	}
-	now := m.now(h)
+	now := m.now()
 	rc := p.cl.id
 	e, victim := h.dir.Allocate(m.dirKey(b), now)
 	if victim != nil {
@@ -563,8 +563,8 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 	// Home-bus snoop invalidates home-cluster copies without messages.
 	m.invalidateCluster(h, b, false)
 	n := targets.Count()
-	h.res.invalHist.Add(n)
-	h.res.invalFan.Observe(uint64(n))
+	m.invalHist.Add(n)
+	m.invalFan.Observe(uint64(n))
 	if n > 0 && !e.Precise() {
 		m.trace(obs.EvOverflow, h.id, b, int64(n))
 	}
@@ -586,8 +586,7 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 // retransmission let the cluster's own later ownership acquisition
 // overtake — the case a real protocol rejects with a NAK. Impossible
 // without fault injection: the fault-free mesh never reorders requests
-// on a pair, so the fault-free answer is constant false — which also
-// keeps a wide run from peeking at another shard's caches.
+// on a pair, so the fault-free answer is constant false.
 func (m *Machine) clusterHoldsDirty(c *clusterNode, b int64) bool {
 	if !m.faultsOn {
 		return false
@@ -607,8 +606,7 @@ func (m *Machine) clusterHoldsDirty(c *clusterNode, b int64) bool {
 // request queued behind the gate can observe the block before the
 // requester holds it, and the home never waits on a requester-side
 // closure. Under the fault model a delayed or retried reply's arrival is
-// unknowable when it is sent, so the reply itself reopens the gate (the
-// fault model clamps the run to width 1, where that is safe).
+// unknowable when it is sent, so the reply itself reopens the gate.
 func (m *Machine) sendReply(kind protocol.MsgKind, from, rc, h *clusterNode, b int64, tx *txState, arrive func()) {
 	if m.faultsOn {
 		m.sendTx(kind, from.id, rc.id, tx, func() {
@@ -618,20 +616,20 @@ func (m *Machine) sendReply(kind protocol.MsgKind, from, rc, h *clusterNode, b i
 		return
 	}
 	t := m.sendTx(kind, from.id, rc.id, tx, arrive)
-	m.core.relay(from, h, t, func() { m.reopen(h, b) })
+	m.at(from, t, func() { m.reopen(h, b) })
 }
 
 // reopen unlocks home h's gate for b, replaying the requests queued behind
 // it, and re-checks the settled block.
 func (m *Machine) reopen(h *clusterNode, b int64) {
 	h.gate.Unlock(b)
-	m.checkBlock(h, b)
+	m.checkBlock(b)
 }
 
 // fillExclusive installs an exclusive copy after an ownership reply.
 func (m *Machine) fillExclusive(p *proc, b int64, upgrade bool) {
 	if upgrade && p.h.State(b) != cache.Invalid {
-		p.h.Upgrade(b, m.now(p.cl))
+		p.h.Upgrade(b, m.now())
 		return
 	}
 	m.fill(p, b, cache.Dirty)
@@ -644,10 +642,10 @@ func (m *Machine) fillExclusive(p *proc, b int64, upgrade bool) {
 func (m *Machine) remoteWriteDone(p *proc, b int64, upgrade bool, n int, tx *txState) {
 	m.grantAcks(p, n)
 	m.txPhase(p.cl, tx, obs.PhReplyTravel)
-	m.txEnd(p.cl, tx)
+	m.txEnd(tx)
 	m.fillExclusive(p, b, upgrade)
 	c := p.cl
-	m.complete(p, m.now(c)+m.t.Fill)
+	m.complete(p, m.now()+m.t.Fill)
 	delete(c.pendingWrite, b)
 	waiters := c.writeWaiters[b]
 	delete(c.writeWaiters, b)
@@ -663,8 +661,8 @@ func (m *Machine) handleNBEvictions(h *clusterNode, b int64, ev []core.NodeID, t
 	if len(ev) == 0 {
 		return
 	}
-	h.res.invalHist.Add(len(ev))
-	h.res.invalFan.Observe(uint64(len(ev)))
+	m.invalHist.Add(len(ev))
+	m.invalFan.Observe(uint64(len(ev)))
 	m.trace(obs.EvInvalFanout, h.id, b, int64(len(ev)))
 	sent := 0
 	for _, v := range ev {
@@ -672,7 +670,7 @@ func (m *Machine) handleNBEvictions(h *clusterNode, b int64, ev []core.NodeID, t
 			sent++
 		}
 	}
-	m.txFanout(h, tx, sent, false)
+	m.txFanout(tx, sent, false)
 	if m.chk != nil {
 		m.chk.InvalSent(b, sent)
 	}
@@ -687,7 +685,7 @@ func (m *Machine) handleNBEvictions(h *clusterNode, b int64, ev []core.NodeID, t
 			done := m.busOp(vc, m.t.InvalBus)
 			m.at(vc, done, func() {
 				m.applyInval(vc, b, false)
-				m.invalApplied(vc, b)
+				m.invalApplied(b)
 				m.sendTx(protocol.AckMsg, v, h.id, tx, func() { m.txAck(h, tx) })
 			})
 		})
@@ -731,11 +729,11 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 	}
 	if ve.Dirty() {
 		owner := ve.Owner()
-		h.res.replHist.Add(1)
-		h.res.replFan.Observe(1)
+		m.replHist.Add(1)
+		m.replFan.Observe(1)
 		m.trace(obs.EvDirEvict, h.id, vb, 1)
 		tx := m.txStart(obs.TxEvict, h, vb)
-		m.txFanout(h, tx, 1, true)
+		m.txFanout(tx, 1, true)
 		m.occupyDir(h, m.t.InvalSend)
 		h.gate.Lock(vb)
 		h.rac.Start(vb, 1)
@@ -759,11 +757,11 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 		m.recallPending(vb, -1)
 		return
 	}
-	h.res.replHist.Add(n)
-	h.res.replFan.Observe(uint64(n))
+	m.replHist.Add(n)
+	m.replFan.Observe(uint64(n))
 	m.trace(obs.EvDirEvict, h.id, vb, int64(n))
 	tx := m.txStart(obs.TxEvict, h, vb)
-	m.txFanout(h, tx, n, true)
+	m.txFanout(tx, n, true)
 	m.occupyDir(h, m.t.InvalSend*sim.Time(n))
 	h.gate.Lock(vb)
 	h.rac.Start(vb, n)

@@ -12,7 +12,7 @@ import (
 // regions that then re-contend.
 func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 	if retry {
-		p.cl.res.lockRetries.Inc()
+		m.lockRetries.Inc()
 		m.trace(obs.EvRetry, p.cl.id, addr, 0)
 	}
 	home := m.home(m.block(addr))
@@ -20,7 +20,7 @@ func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 		granted, woken := p.cl.locks.Acquire(addr, p.cl.id, p.id)
 		m.wakeNodes(addr, home, woken)
 		if granted {
-			m.complete(p, m.now(p.cl)+m.t.Bus)
+			m.complete(p, m.now()+m.t.Bus)
 		}
 		// Otherwise p blocks until granted or woken.
 		return
@@ -41,7 +41,7 @@ func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 				m.sendTx(protocol.LockGrant, home, p.cl.id, tx, func() {
 					m.txPhase(p.cl, tx, obs.PhReplyTravel)
 					m.lockTxEnd(p)
-					m.complete(p, m.now(p.cl)+m.t.Hit)
+					m.complete(p, m.now()+m.t.Hit)
 				})
 			}
 		})
@@ -56,7 +56,7 @@ func (m *Machine) lockRelease(p *proc, addr int64) {
 	if home == p.cl.id {
 		g := p.cl.locks.Release(addr)
 		m.handleGrant(addr, home, g)
-		m.complete(p, m.now(p.cl)+m.t.Bus)
+		m.complete(p, m.now()+m.t.Bus)
 		return
 	}
 	m.send(protocol.UnlockReq, p.cl.id, home, func() {
@@ -67,7 +67,7 @@ func (m *Machine) lockRelease(p *proc, addr int64) {
 			m.handleGrant(addr, home, g)
 		})
 	})
-	m.complete(p, m.now(p.cl)+m.t.Hit)
+	m.complete(p, m.now()+m.t.Hit)
 }
 
 // handleGrant delivers the outcome of a lock release: either a direct
@@ -77,7 +77,7 @@ func (m *Machine) handleGrant(addr int64, home int, g protocol.Grant) {
 	if g.Direct {
 		q := m.procs[g.Proc]
 		if g.Node == home {
-			m.complete(q, m.now(q.cl)+m.t.Hit)
+			m.complete(q, m.now()+m.t.Hit)
 			return
 		}
 		tx := m.lockTxOf(q)
@@ -85,7 +85,7 @@ func (m *Machine) handleGrant(addr int64, home int, g protocol.Grant) {
 		m.sendTx(protocol.LockGrant, home, g.Node, tx, func() {
 			m.txPhase(q.cl, tx, obs.PhReplyTravel)
 			m.lockTxEnd(q)
-			m.complete(q, m.now(q.cl)+m.t.Hit)
+			m.complete(q, m.now()+m.t.Hit)
 		})
 		return
 	}
@@ -172,7 +172,7 @@ func (m *Machine) treeArrive(c int, addr int64) {
 func (m *Machine) treeRelease(c int, addr int64) {
 	cl := m.clusters[c]
 	for _, q := range cl.treeWaiting[addr] {
-		m.complete(q, m.now(cl)+m.t.Hit)
+		m.complete(q, m.now()+m.t.Hit)
 	}
 	delete(cl.treeWaiting, addr)
 	m.treeChildren(c, func(child int) {
@@ -195,16 +195,15 @@ func (m *Machine) barrierArrive(p *proc, addr int64) {
 // centralBarrierArrive implements the default single-home barrier.
 func (m *Machine) centralBarrierArrive(p *proc, addr int64) {
 	home := m.home(m.block(addr))
-	hc := m.clusters[home]
 	deliver := func() {
-		for _, qid := range hc.res.barriers.Arrive(addr, p.id) {
+		for _, qid := range m.barriers.Arrive(addr, p.id) {
 			q := m.procs[qid]
 			if q.cl.id == home {
-				m.complete(q, m.now(hc)+m.t.Hit)
+				m.complete(q, m.now()+m.t.Hit)
 				continue
 			}
 			m.send(protocol.BarrierRelease, home, q.cl.id, func() {
-				m.complete(q, m.now(q.cl)+m.t.Hit)
+				m.complete(q, m.now()+m.t.Hit)
 			})
 		}
 	}

@@ -18,10 +18,9 @@ import (
 // (duplicates are counted, not executed), and a message whose timer fires
 // undelivered is re-sent with exponential backoff until the retry budget
 // runs out. A transaction the recovery machinery still cannot complete is
-// caught by the core's liveness watchdog (see shardedCore.worker). The
-// fault model clamps the run to width 1, so the envelopes and timers all
-// live on one wheel; they are scheduled in the sending cluster's context.
-// With faults off none of this exists: send takes the plain mesh path.
+// caught by the core's liveness watchdog (see Machine.run). The envelopes
+// and timers are scheduled in the sending cluster's context. With faults
+// off none of this exists: send takes the plain mesh path.
 
 const (
 	// DefaultMaxRetries is the retransmit budget per message when
@@ -59,7 +58,7 @@ func (m *Machine) sendReliable(fc *clusterNode, kind protocol.MsgKind, to int, t
 	m.msgSeq++
 	env := &netMsg{
 		id: m.msgSeq, kind: kind, from: fc.id, to: to,
-		first: fc.w.Now(), timeout: m.baseTimeout(fc.id, to),
+		first: m.now(), timeout: m.baseTimeout(fc.id, to),
 		deliver: arrive, tx: tx,
 	}
 	m.inflight[env.id] = env
@@ -81,12 +80,12 @@ func (m *Machine) baseTimeout(from, to int) sim.Time {
 // and a retransmit timer guards the attempt. Stale timers (the attempt was
 // superseded or the message delivered) fall through timeoutMsg as no-ops.
 func (m *Machine) dispatch(env *netMsg) {
-	fc, tc := m.clusters[env.from], m.clusters[env.to]
+	fc := m.clusters[env.from]
 	env.attempt++
-	env.sent = fc.w.Now()
+	env.sent = m.now()
 	arrivals, n := m.net.SendFaulty(env.sent, env.from, env.to)
 	for i := 0; i < n; i++ {
-		m.core.relay(fc, tc, arrivals[i], func() { m.deliverMsg(env) })
+		m.at(fc, arrivals[i], func() { m.deliverMsg(env) })
 	}
 	att := env.attempt
 	m.at(fc, env.sent+env.timeout, func() { m.timeoutMsg(env, att) })
@@ -133,11 +132,10 @@ func (m *Machine) emitRecovery(env *netMsg) {
 	if tx == nil || m.spans == nil {
 		return
 	}
-	fc := m.clusters[env.from]
-	m.emitSpan(fc, obs.Span{
-		Tx: tx.id, ID: m.spanID(fc), Parent: tx.id,
+	m.emitSpan(obs.Span{
+		Tx: tx.id, ID: m.spanID(m.clusters[env.from]), Parent: tx.id,
 		Class: tx.class, Phase: obs.PhRecovery, Node: tx.node, Block: tx.block,
-		Start: uint64(env.sent), End: uint64(fc.w.Now()), N: int64(env.attempt),
+		Start: uint64(env.sent), End: uint64(m.now()), N: int64(env.attempt),
 	})
 }
 
@@ -157,19 +155,18 @@ func (e *StuckError) Error() string {
 }
 
 // abort records the liveness failure (as a checker violation when the
-// checker is on) and arms m.aborted so the run loop stops after the
-// current event.
-func (m *Machine) abort(reason string) {
+// checker is on) and returns the StuckError that ends the run.
+func (m *Machine) abort(reason string) *StuckError {
 	if m.chk != nil {
-		m.chk.Violationf(check.RuleLiveness, -1, -1, uint64(m.simNow()), "%s", reason)
+		m.chk.Violationf(check.RuleLiveness, -1, -1, uint64(m.now()), "%s", reason)
 	}
-	m.aborted = &StuckError{Reason: reason, Dump: m.diagnosticDump()}
+	return &StuckError{Reason: reason, Dump: m.diagnosticDump()}
 }
 
 // diagnosticDump renders the machine's stuck state for StuckError.
 func (m *Machine) diagnosticDump() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  t=%d events_fired=%d events_pending=%d\n", m.simNow(), m.simFired(), m.simPending())
+	fmt.Fprintf(&b, "  t=%d events_fired=%d events_pending=%d\n", m.now(), m.w.Fired(), m.w.Pending())
 	for _, p := range m.procs {
 		if p.done {
 			continue

@@ -77,56 +77,6 @@ func TestTraceOverheadDisabled(t *testing.T) {
 	}
 }
 
-// TestShardedObsOverhead holds the overhead guard at width 4. The budget
-// is wider than the width-1 test's: width 1's discard path recycles a
-// fixed ring and retains nothing, while a wide run must retain every
-// record in per-shard chunks until the canonical
-// (time, key) merge at quiescence — tens of megabytes written, re-read,
-// and emitted on this workload — so byte-identical output has a real
-// memory-traffic floor (measured ~1.25-1.35x; see DESIGN.md). The guard
-// catches regressions in the chunked buffering, not a zero-cost claim.
-func TestShardedObsOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	w := overheadWorkload()
-	run := func(tr *obs.Tracer, sp *obs.SpanRecorder) time.Duration {
-		cfg := testConfig(16, CoarseVec2)
-		cfg.Shards = 4
-		cfg.Trace = tr
-		cfg.Spans = sp
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Shards() != 4 {
-			t.Fatalf("runs at width %d, want 4: %s", m.Shards(), m.FallbackReason())
-		}
-		start := time.Now()
-		if _, err := m.Run(w); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start)
-	}
-	run(nil, nil)
-
-	minOff := time.Duration(1<<63 - 1)
-	minOn := minOff
-	for round := 0; round < 5; round++ {
-		if d := run(nil, nil); d < minOff {
-			minOff = d
-		}
-		if d := run(obs.NewTracer(obs.Discard, 0), obs.NewSpanRecorder(obs.DiscardSpans, 0)); d < minOn {
-			minOn = d
-		}
-	}
-	ratio := float64(minOn) / float64(minOff)
-	t.Logf("width 4: obs off %v, obs on %v, ratio %.3f", minOff, minOn, ratio)
-	if ratio > 1.5 {
-		t.Errorf("width-4 observability is %.0f%% slower than disabled (want <= 50%%)", 100*(ratio-1))
-	}
-}
-
 // BenchmarkMachineTraceDiscard is BenchmarkMachineRefsPerSec with tracing
 // enabled on the discard sink, for before/after comparison of the
 // instrumentation's cost.

@@ -43,12 +43,10 @@ type Result struct {
 // plus the exact per-count histograms the figures need. The paper's four
 // message classes are sums of the per-kind "msg.<kind>" counters; the
 // directory aggregate reads the shared "dir.*" counters (summing the
-// per-cluster directories' Stats() would double-count, since they record
-// into their shard's registry). Every shard merged into shard 0 at
-// quiescence, so these reads cover the whole machine at any width.
+// per-cluster directories' Stats() would double-count, since they all
+// record into the machine's registry).
 func (m *Machine) result() *Result {
 	snap := m.MetricsSnapshot()
-	r0 := m.res[0]
 	var msgs stats.MsgCounts
 	for k := 0; k < protocol.NumMsgKinds; k++ {
 		kind := protocol.MsgKind(k)
@@ -59,8 +57,8 @@ func (m *Machine) result() *Result {
 		DirEntryBits:  m.scheme.BitsPerEntry(),
 		DirEntryBytes: m.scheme.EntryBytes(),
 		Msgs:          msgs,
-		InvalHist:     r0.invalHist,
-		ReplHist:      r0.replHist,
+		InvalHist:     m.invalHist,
+		ReplHist:      m.replHist,
 		Net: mesh.Stats{
 			Messages: snap.Counter("mesh.msgs"),
 			Hops:     snap.Counter("mesh.hops"),
@@ -69,8 +67,8 @@ func (m *Machine) result() *Result {
 		},
 		LockRetries: snap.Counter("lock.retries"),
 		MergedReads: snap.Counter("rac.merged.reads"),
-		ReadLat:     r0.readLat,
-		WriteLat:    r0.writeLat,
+		ReadLat:     m.readLat,
+		WriteLat:    m.writeLat,
 		Dir: sparse.Stats{
 			Lookups:      snap.Counter("dir.lookup"),
 			Hits:         snap.Counter("dir.hit"),

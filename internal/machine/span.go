@@ -17,14 +17,8 @@ import (
 // exception: it overlaps the reply (release consistency), so its span is
 // emitted when the last ack arrives, possibly after the root.
 //
-// The txState travels along the transaction's message chain: at any
-// simulation instant exactly one cluster's events touch it, and on runs
-// wider than 1 consecutive touches from different shards are separated by
-// at least one cross-shard message hop — which crosses a window barrier —
-// so the accesses are ordered without locks, the same discipline the
-// protocol's own per-proc state follows. Every helper therefore takes the
-// executing cluster, which also anchors span-ID allocation and buffer
-// stamping.
+// The txState travels along the transaction's message chain. Helpers that
+// allocate span IDs take the executing cluster, which anchors the ID.
 type txState struct {
 	id    uint64
 	class obs.TxClass
@@ -44,8 +38,8 @@ type txState struct {
 
 // spanID allocates the next span identifier in cluster c's context: the
 // executing cluster and its private sequence (cluster in the high bits,
-// like event ordering keys), so the IDs a run emits are independent of the
-// shard count. IDs are never zero — Parent == 0 stays the root marker.
+// like event ordering keys), so the IDs a run emits follow per-cluster
+// emission order. IDs are never zero — Parent == 0 stays the root marker.
 func (m *Machine) spanID(c *clusterNode) uint64 {
 	c.spanSeq++
 	return uint64(c.id)<<40 | c.spanSeq
@@ -57,15 +51,14 @@ func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txSta
 	if m.spans == nil {
 		return nil
 	}
-	now := m.now(c)
-	// Records are carved from the shard's slab: one object per transaction
-	// was the largest single cost of span tracing.
-	res := c.res
-	if len(res.txSlab) == 0 {
-		res.txSlab = make([]txState, txSlabLen)
+	now := m.now()
+	// Records are carved from a slab: one object per transaction was the
+	// largest single cost of span tracing.
+	if len(m.txSlab) == 0 {
+		m.txSlab = make([]txState, txSlabLen)
 	}
-	tx := &res.txSlab[0]
-	res.txSlab = res.txSlab[1:]
+	tx := &m.txSlab[0]
+	m.txSlab = m.txSlab[1:]
 	*tx = txState{id: m.spanID(c), class: class, node: int32(c.id), block: block, start: now, mark: now}
 	if m.chk != nil {
 		m.chk.OpenTx(block, tx.id)
@@ -74,19 +67,12 @@ func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txSta
 }
 
 // emitSpan hands one span to the recorder and, when checking is on, to
-// the checker's span-tiling verifier. On runs wider than 1 the span is
-// buffered in the executing shard's cell instead, stamped with the firing
-// event's (time, key) position, and replayed into the recorder in the
-// canonical global order at quiescence — see shardobs.go.
-func (m *Machine) emitSpan(c *clusterNode, s obs.Span) {
+// the checker's span-tiling verifier.
+func (m *Machine) emitSpan(s obs.Span) {
 	if m.chk != nil {
 		m.chk.Span(s)
 	}
-	if m.core.n == 1 {
-		m.spans.Emit(s)
-		return
-	}
-	m.core.obsBuf[c.shard].pushSp(keyedSpan{t: c.w.Now(), key: c.w.FiringKey(), sp: s})
+	m.spans.Emit(s)
 }
 
 // txLatName holds the per-class transaction latency histogram names
@@ -105,8 +91,8 @@ func (m *Machine) txPhase(c *clusterNode, tx *txState, ph obs.Phase) {
 	if tx == nil {
 		return
 	}
-	now := m.now(c)
-	m.emitSpan(c, obs.Span{
+	now := m.now()
+	m.emitSpan(obs.Span{
 		Tx: tx.id, ID: m.spanID(c), Parent: tx.id,
 		Class: tx.class, Phase: ph, Node: tx.node, Block: tx.block,
 		Start: uint64(tx.mark), End: uint64(now),
@@ -115,17 +101,17 @@ func (m *Machine) txPhase(c *clusterNode, tx *txState, ph obs.Phase) {
 }
 
 // txFanout registers n outstanding invalidation acknowledgements dispatched
-// at the current cycle in cluster c's context (the home). When endOnAcks is
+// at the current cycle by the home. When endOnAcks is
 // set the transaction's root span ends at the last ack (eviction recalls);
 // otherwise the acks drain asynchronously and only the ack.gather child
 // depends on them.
-func (m *Machine) txFanout(c *clusterNode, tx *txState, n int, endOnAcks bool) {
+func (m *Machine) txFanout(tx *txState, n int, endOnAcks bool) {
 	if tx == nil || n <= 0 {
 		return
 	}
 	tx.acks += n
 	tx.fanout += int64(n)
-	tx.ackStart = m.now(c)
+	tx.ackStart = m.now()
 	tx.endOnAcks = endOnAcks
 }
 
@@ -139,31 +125,31 @@ func (m *Machine) txAck(c *clusterNode, tx *txState) {
 	if tx.acks > 0 {
 		return
 	}
-	now := m.now(c)
-	m.emitSpan(c, obs.Span{
+	now := m.now()
+	m.emitSpan(obs.Span{
 		Tx: tx.id, ID: m.spanID(c), Parent: tx.id,
 		Class: tx.class, Phase: obs.PhAckGather, Node: tx.node, Block: tx.block,
 		Start: uint64(tx.ackStart), End: uint64(now), N: tx.fanout,
 	})
 	if tx.endOnAcks {
 		tx.mark = now
-		m.txEnd(c, tx)
+		m.txEnd(tx)
 	}
 }
 
-// txEnd emits the transaction's root span and records its latency in the
-// executing cluster's class histogram.
-func (m *Machine) txEnd(c *clusterNode, tx *txState) {
+// txEnd emits the transaction's root span and records its latency in its
+// class histogram.
+func (m *Machine) txEnd(tx *txState) {
 	if tx == nil {
 		return
 	}
-	now := m.now(c)
-	m.emitSpan(c, obs.Span{
+	now := m.now()
+	m.emitSpan(obs.Span{
 		Tx: tx.id, ID: tx.id, Parent: 0,
 		Class: tx.class, Phase: obs.PhTotal, Node: tx.node, Block: tx.block,
 		Start: uint64(tx.start), End: uint64(now), N: tx.fanout,
 	})
-	c.res.txLat[tx.class].Observe(m.cycleDelta(now, tx.start, txLatName[tx.class]))
+	m.txLat[tx.class].Observe(m.cycleDelta(now, tx.start, txLatName[tx.class]))
 	if m.chk != nil {
 		m.chk.CloseTx(tx.block, tx.id)
 	}
@@ -198,6 +184,6 @@ func (m *Machine) lockTxEnd(p *proc) {
 	}
 	if tx := p.lockTx; tx != nil {
 		p.lockTx = nil
-		m.txEnd(p.cl, tx)
+		m.txEnd(tx)
 	}
 }

@@ -11,18 +11,13 @@ import (
 // time — so readers on other goroutines (the -pprof server's /metrics and
 // /progress handlers) can walk it without locks.
 type LiveSample struct {
-	// Cycles is the simulation time reached (the minimum shard window
-	// start for sharded runs, the engine clock for serial ones).
+	// Cycles is the simulation time reached.
 	Cycles uint64 `json:"cycles"`
 	// Events is the number of simulation events fired so far.
 	Events uint64 `json:"events"`
-	// Shards holds each shard's wheel time at the publish barrier, so a
-	// reader can see per-shard window lag. Empty for serial runs.
-	Shards []uint64 `json:"shards,omitempty"`
 	// Done is true on the final sample published when the run completes.
 	Done bool `json:"done"`
-	// Metrics is the registry snapshot at the publish point (merged
-	// across shards for sharded runs).
+	// Metrics is the registry snapshot at the publish point.
 	Metrics Snapshot `json:"metrics"`
 }
 

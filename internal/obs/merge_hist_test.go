@@ -124,8 +124,8 @@ func TestRegistryMerge(t *testing.T) {
 	}
 }
 
-// FuzzHistogramMerge asserts the merge identity the sharded machine core
-// relies on: recording a sample sequence split across two histograms and
+// FuzzHistogramMerge asserts the merge identity registry copies rely on:
+// recording a sample sequence split across two histograms and
 // merging them is indistinguishable — buckets, count, sum, max, quantiles —
 // from recording the whole sequence into one histogram.
 func FuzzHistogramMerge(f *testing.F) {

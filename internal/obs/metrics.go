@@ -128,10 +128,9 @@ func (h *Histogram) Quantile(q float64) uint64 {
 
 // Merge folds src into h bucket by bucket. The result is exactly what h
 // would hold had it observed every sample src did — Count, Sum, Max,
-// Bucket, and therefore Quantile, all agree with sequential recording —
-// which is what lets per-shard histograms merge into one deterministic
-// whole. The bucket layouts must match; mismatched bounds panic, since
-// silently re-binning would corrupt the quantile estimates.
+// Bucket, and therefore Quantile, all agree with sequential recording.
+// The bucket layouts must match; mismatched bounds panic, since silently
+// re-binning would corrupt the quantile estimates.
 func (h *Histogram) Merge(src *Histogram) {
 	if len(src.bounds) != len(h.bounds) {
 		panic("obs: merging histograms with different bucket layouts")
@@ -268,10 +267,8 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 
 // Merge folds every metric of src into r: counters add, gauges add with
 // the high-water mark taken as the max of the two marks, histograms merge
-// bucket-wise (created with src's bounds when absent from r). Merging the
-// per-shard registries of a sharded run into one registry in shard order
-// yields the same totals as serial recording into a single registry,
-// independent of how recording was partitioned.
+// bucket-wise (created with src's bounds when absent from r). The machine
+// uses it to copy its registry for an in-run live snapshot.
 func (r *Registry) Merge(src *Registry) {
 	for name, c := range src.counters {
 		r.Counter(name).Add(c.v)

@@ -26,7 +26,6 @@ type Line struct {
 	Faults   string // mesh fault spec or "campaign"; empty omits the flag
 	Wedge    bool
 	NoCheck  bool // renders as -check=false; the checker is on by default
-	Shards   int  // 0 and the default 1 omit the flag
 	Parallel int  // 0 omits the flag
 	Verbose  bool
 }
@@ -44,9 +43,6 @@ func (l Line) String() string {
 	}
 	if l.NoCheck {
 		b.WriteString(" -check=false")
-	}
-	if l.Shards > 1 {
-		fmt.Fprintf(&b, " -shards %d", l.Shards)
 	}
 	if l.Parallel > 0 {
 		fmt.Fprintf(&b, " -parallel %d", l.Parallel)
@@ -126,8 +122,6 @@ func Parse(s string) (Line, error) {
 			l.NoCheck = true
 		case "-check", "-check=true":
 			l.NoCheck = false
-		case "-shards":
-			l.Shards, err = intValue(flag)
 		case "-parallel":
 			l.Parallel, err = intValue(flag)
 		case "-v":

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -69,5 +70,15 @@ func TestParseErrors(t *testing.T) {
 		if l, err := Parse(s); err == nil {
 			t.Errorf("Parse(%q) = %+v, want error", s, l)
 		}
+	}
+}
+
+// TestParseRejectsShards: protostress has no -shards flag, so a stored
+// line carrying one fails as an unknown flag rather than replaying a run
+// the line does not describe.
+func TestParseRejectsShards(t *testing.T) {
+	l, err := Parse("protostress -trials 1 -seed 7 -procs 4 -refs 300 -blocks 24 -fault none -check=false -shards 4 -v")
+	if err == nil || !strings.Contains(err.Error(), `unknown flag "-shards"`) {
+		t.Fatalf("Parse = %+v, %v; want an unknown -shards flag error", l, err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package runner schedules independent simulation jobs across a bounded
 // worker pool. The paper's evaluation is a grid of independent runs
 // (schemes × applications × machine sizes × sparse configurations); the
-// pool shards that grid across goroutines with work stealing, while
+// pool spreads that grid across goroutines with work stealing, while
 // Collect returns results in submission order, so parallel output is
 // byte-identical to a serial sweep regardless of completion order.
 //

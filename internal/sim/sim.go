@@ -5,7 +5,7 @@
 // Events fire in ascending (time, key) order. At assigns keys in insertion
 // order; AtKey lets the caller impose an explicit order on equal-time
 // events, so a run is fully reproducible and, when keys derive from the
-// scheduling context, independent of which worker scheduled what first.
+// scheduling context, independent of insertion order.
 package sim
 
 // Time is a simulation timestamp in processor cycles.

@@ -70,8 +70,8 @@ func wpop(h []witem) (witem, []witem) {
 //
 // A Wheel fires equal-time events in insertion order when scheduled with
 // At. AtKey additionally lets the caller impose an explicit total order on
-// equal-time events — the hook the machine core uses to make event order
-// independent of which shard scheduled what first.
+// equal-time events — the hook the machine core uses to order them by
+// scheduling cluster and per-cluster sequence.
 type Wheel struct {
 	slots  [][]witem // per-cycle buckets, each a (at,key) min-heap
 	mask   Time
@@ -80,7 +80,6 @@ type Wheel struct {
 	inSlot int    // events currently bucketed
 	over   []witem
 	fired  uint64
-	curKey uint64 // ordering key of the event currently firing
 }
 
 // NewWheel returns a wheel with the given slot count (a power of two;
@@ -103,14 +102,6 @@ func (w *Wheel) Fired() uint64 { return w.fired }
 
 // Pending returns the number of scheduled-but-unfired events.
 func (w *Wheel) Pending() int { return w.inSlot + len(w.over) }
-
-// FiringKey returns the ordering key of the event currently being fired.
-// Together with Now it identifies the firing event's position in the
-// wheel's total (time, key) order — the stamp the machine core attaches to
-// observability records so per-shard buffers merge back into the canonical
-// global order. Outside a callback it returns the key of
-// the most recently fired event (0 before the first).
-func (w *Wheel) FiringKey() uint64 { return w.curKey }
 
 // At schedules fn at absolute time t. Equal-time events scheduled with At
 // fire in insertion order. Scheduling in the past panics.
@@ -207,7 +198,6 @@ func (w *Wheel) fire(t Time) {
 	it, w.slots[s] = wpop(w.slots[s])
 	w.inSlot--
 	w.fired++
-	w.curKey = it.key
 	it.fn()
 }
 

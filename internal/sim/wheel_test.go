@@ -119,8 +119,8 @@ func TestWheelTieBreakAcrossBuckets(t *testing.T) {
 }
 
 // TestWheelKeyOrderInsertionIndependent verifies AtKey order does not
-// depend on insertion order — the property the sharded machine core's
-// deterministic cross-shard merge rests on.
+// depend on insertion order — the property the machine core's
+// (time, origin cluster, sequence) event order rests on.
 func TestWheelKeyOrderInsertionIndependent(t *testing.T) {
 	type ev struct {
 		at  Time

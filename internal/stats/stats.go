@@ -83,19 +83,6 @@ func (h *Histogram) Add(k int) {
 	h.total += uint64(k)
 }
 
-// Merge folds o's events into h — used by the sharded machine core to
-// combine per-cluster histograms at quiescence.
-func (h *Histogram) Merge(o *Histogram) {
-	for len(h.counts) < len(o.counts) {
-		h.counts = append(h.counts, 0)
-	}
-	for k, c := range o.counts {
-		h.counts[k] += c
-	}
-	h.events += o.events
-	h.total += o.total
-}
-
 // Events returns the number of recorded events.
 func (h *Histogram) Events() uint64 { return h.events }
 
@@ -179,19 +166,6 @@ func (h *LatHist) Add(lat uint64) {
 	h.total += lat
 	if lat > h.max {
 		h.max = lat
-	}
-}
-
-// Merge folds o's samples into h — used by the sharded machine core to
-// combine per-cluster latency histograms at quiescence.
-func (h *LatHist) Merge(o *LatHist) {
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.count += o.count
-	h.total += o.total
-	if o.max > h.max {
-		h.max = o.max
 	}
 }
 

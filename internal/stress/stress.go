@@ -38,8 +38,7 @@ type Options struct {
 	Fault    machine.Fault
 	Faults   string // "", a mesh.ParseFaults spec, or "campaign"
 	Wedge    bool
-	Check    bool // run the invariant checker (clamps the run to width 1)
-	Shards   int  // machine-core width; effective only with check off
+	Check    bool // run the invariant checker
 	Parallel int
 	Verbose  bool
 	// Deadline, when > 0, bounds each trial in wall-clock time via the
@@ -189,7 +188,6 @@ func RunTrial(id int, seed int64, o Options) Trial {
 		Timing:          machine.DefaultTiming(),
 		Seed:            seed,
 		Check:           o.Check,
-		Shards:          o.Shards,
 		Fault:           o.Fault,
 		Deadline:        o.Deadline,
 	}
@@ -285,7 +283,7 @@ func (t *Trial) Render(w io.Writer, o Options) {
 		fmt.Fprintf(w, "  replay: %s\n", replay.Line{
 			Trials: 1, Seed: t.Seed, Procs: o.Procs, Refs: o.Refs, Blocks: o.Blocks,
 			Fault: o.Fault.String(), Faults: o.Faults, Wedge: o.Wedge,
-			NoCheck: !o.Check, Shards: o.Shards, Verbose: true,
+			NoCheck: !o.Check, Verbose: true,
 		})
 	}
 }

@@ -118,34 +118,6 @@ func TestFaultCampaignRegressions(t *testing.T) {
 	}
 }
 
-// TestShardedDifferential: the same seeded stress campaign run on the
-// machine core at widths 1, 2 and 4 must reproduce identical
-// configurations and execution times trial for trial (the checker is off:
-// it clamps the run to width 1).
-func TestShardedDifferential(t *testing.T) {
-	base := smallOpts()
-	base.Check = false
-	base.Shards = 1
-	want, caught := RunTrials(base)
-	if caught {
-		t.Fatal("clean protocol produced findings at -shards 1")
-	}
-	for _, shards := range []int{2, 4} {
-		o := base
-		o.Shards = shards
-		got, caught := RunTrials(o)
-		if caught {
-			t.Fatalf("clean protocol produced findings at -shards %d", shards)
-		}
-		for i := range want {
-			if got[i].Desc != want[i].Desc || got[i].ExecTime != want[i].ExecTime {
-				t.Errorf("trial %d diverged at -shards %d: %q exec=%d vs %q exec=%d",
-					i, shards, want[i].Desc, want[i].ExecTime, got[i].Desc, got[i].ExecTime)
-			}
-		}
-	}
-}
-
 // TestWedgeTripsWatchdog: with every message dropped and the retry budget
 // cut, every trial must abort via *machine.StuckError carrying a
 // diagnostic dump.
