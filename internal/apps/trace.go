@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -27,8 +28,9 @@ import (
 //	WR <addr> <value>  # shared-data store (the value is validated and
 //	                   # discarded — the simulator is reference-driven)
 //
-// Addresses and values accept decimal or 0x-prefixed hex. Blank lines and
-// lines starting with '#' are skipped.
+// Addresses and values accept decimal or 0x-prefixed hex; an address must
+// lie in [0, MaxInt64 - tango.WordBytes]. Blank lines and lines starting
+// with '#' are skipped.
 
 // TraceParseError reports a malformed trace line with its position.
 type TraceParseError struct {
@@ -66,6 +68,11 @@ func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 			}
 			if addr < 0 {
 				return 0, fail(fmt.Sprintf("negative address %q", s))
+			}
+			// The workload's extent is the highest address plus a word,
+			// which must still fit in an int64.
+			if addr > math.MaxInt64-tango.WordBytes {
+				return 0, fail(fmt.Sprintf("address %q past the %d-byte address space", s, int64(math.MaxInt64-tango.WordBytes+1)))
 			}
 			return addr, nil
 		}

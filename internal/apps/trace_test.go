@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,6 +50,8 @@ func TestParseTraceErrors(t *testing.T) {
 		{"WR 0x10 5 6", "exactly two operands"},
 		{"RD zebra", `bad address "zebra"`},
 		{"RD -8", "negative address"},
+		{"RD 0x7fffffffffffffff", "past the"},
+		{"WR 0x7ffffffffffffff9 1", "past the"},
 		{"WR 0x10 many", `bad value "many"`},
 	}
 	for _, c := range cases {
@@ -64,6 +67,43 @@ func TestParseTraceErrors(t *testing.T) {
 			t.Errorf("%q: line = %d, want 1", c.in, pe.Line)
 		}
 	}
+}
+
+// FuzzParseTrace: the RD/WR parser never panics, every address it accepts
+// leaves room for a word before int64 overflows, and it returns one ref per
+// RD or WR line.
+func FuzzParseTrace(f *testing.F) {
+	f.Add("# ping-pong\nWR 0x15 100\nRD 0x17\n\nrd 32\nwr 0x20 0x7f\n")
+	f.Add("RD 0x7ffffffffffffff7\r\nWR 9223372036854775799 -1")
+	f.Add("RD 0x7fffffffffffffff\n")
+	f.Add("LD 0x10\nRD\nWR 1 2 3\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		refs, err := ParseTrace(strings.NewReader(in), "fuzz")
+		if err != nil {
+			var pe *TraceParseError
+			if !errors.As(err, &pe) && !strings.Contains(err.Error(), "token too long") {
+				t.Fatalf("error %v is neither a *TraceParseError nor a scanner limit", err)
+			}
+			return
+		}
+		instrs := 0
+		for _, l := range strings.Split(in, "\n") {
+			if fields := strings.Fields(l); len(fields) > 0 && !strings.HasPrefix(fields[0], "#") {
+				if op := strings.ToUpper(fields[0]); op != "RD" && op != "WR" {
+					t.Fatalf("accepted instruction %q", fields[0])
+				}
+				instrs++
+			}
+		}
+		if len(refs) != instrs {
+			t.Fatalf("%d refs from %d RD/WR lines", len(refs), instrs)
+		}
+		for _, r := range refs {
+			if r.Addr < 0 || r.Addr > math.MaxInt64-tango.WordBytes {
+				t.Fatalf("accepted address %#x", r.Addr)
+			}
+		}
+	})
 }
 
 func writeTraceDir(t *testing.T, cores ...string) string {

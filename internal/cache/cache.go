@@ -7,7 +7,10 @@
 // addresses to blocks before touching the caches.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // State is an MSI cache line state.
 type State uint8
@@ -35,17 +38,30 @@ func (s State) String() string {
 	}
 }
 
+// line is one cache way. Field order packs it into 24 bytes: the two
+// words, then the two bytes.
 type line struct {
-	valid   bool
 	block   int64
-	state   State
 	lastUse uint64
+	valid   bool
+	state   State
 }
 
-// Cache is a single set-associative cache level.
+// pageSets is how many consecutive sets a cache allocates at once, on the
+// first Fill into any of them. A run pays host memory only for the pages
+// it touches: a set whose page was never filled holds no line, so a
+// lookup there misses without allocating.
+const pageSets = 64
+
+// Cache is a single set-associative cache level. Its lines live in pages of
+// pageSets consecutive sets (the last page holds the remainder), carved in
+// first-fill order from one pointer-free slab.
 type Cache struct {
 	sets  int
 	assoc int
+	// pages maps page p, sets [p*pageSets, (p+1)*pageSets), to 1 + the
+	// slab offset of its first line; 0 means the page was never filled.
+	pages []int32
 	lines []line
 }
 
@@ -67,8 +83,8 @@ func (e *GeometryError) Error() string {
 	return "cache: " + e.Reason
 }
 
-// checkGeometry validates one cache level's geometry, mirroring the
-// NewCache panic conditions.
+// checkGeometry validates one cache level's geometry; NewCache panics with
+// its error.
 func checkGeometry(level string, sizeBytes, blockBytes, assoc int) error {
 	bad := func(reason string) error {
 		return &GeometryError{Level: level, Size: sizeBytes, Block: blockBytes, Assoc: assoc, Reason: reason}
@@ -80,32 +96,61 @@ func checkGeometry(level string, sizeBytes, blockBytes, assoc int) error {
 	if nlines == 0 || nlines%assoc != 0 {
 		return bad(fmt.Sprintf("%d bytes / %d-byte blocks not divisible into %d-way sets", sizeBytes, blockBytes, assoc))
 	}
+	if nlines > math.MaxInt32 {
+		return bad(fmt.Sprintf("%d lines exceed the page index's range of %d", nlines, math.MaxInt32))
+	}
 	return nil
 }
 
 // NewCache builds a cache of sizeBytes with blockBytes lines and the given
-// associativity. sizeBytes must be a multiple of blockBytes*assoc.
+// associativity. sizeBytes must be a multiple of blockBytes*assoc. No line
+// is allocated until a Fill needs it.
 func NewCache(sizeBytes, blockBytes, assoc int) *Cache {
-	if sizeBytes <= 0 || blockBytes <= 0 || assoc <= 0 {
-		panic("cache: sizes must be positive")
+	if err := checkGeometry("", sizeBytes, blockBytes, assoc); err != nil {
+		panic(err)
 	}
-	nlines := sizeBytes / blockBytes
-	if nlines == 0 || nlines%assoc != 0 {
-		panic(fmt.Sprintf("cache: %d bytes / %d-byte blocks not divisible into %d-way sets", sizeBytes, blockBytes, assoc))
-	}
-	return &Cache{sets: nlines / assoc, assoc: assoc, lines: make([]line, nlines)}
+	sets := sizeBytes / blockBytes / assoc
+	return &Cache{sets: sets, assoc: assoc, pages: make([]int32, (sets+pageSets-1)/pageSets)}
 }
 
-// Lines returns the total number of cache lines.
-func (c *Cache) Lines() int { return len(c.lines) }
+// Lines returns the total number of cache lines in the geometry, allocated
+// or not.
+func (c *Cache) Lines() int { return c.sets * c.assoc }
 
+// set returns block's set, or nil if the set's page was never filled.
 func (c *Cache) set(block int64) []line {
-	si := int(uint64(block) % uint64(c.sets))
-	return c.lines[si*c.assoc : (si+1)*c.assoc]
+	si := uint(uint64(block) % uint64(c.sets))
+	p := uint(c.pages[si/pageSets])
+	if p == 0 {
+		return nil
+	}
+	return c.lines[p-1+si%pageSets*uint(c.assoc):][:c.assoc]
 }
 
-func (c *Cache) find(block int64) *line {
-	set := c.set(block)
+// pageLines returns the number of lines page p holds: pageSets sets, or the
+// remainder for the last page.
+func (c *Cache) pageLines(p int) int {
+	return min(pageSets, c.sets-p*pageSets) * c.assoc
+}
+
+// allocSet allocates the page holding block's set and returns the set.
+func (c *Cache) allocSet(block int64) []line {
+	p := int(uint64(block)%uint64(c.sets)) / pageSets
+	off, n := len(c.lines), c.pageLines(p)
+	if off+n > cap(c.lines) {
+		// Double the slab, but never past the whole geometry: a cache that
+		// touches every page ends with exactly its lines.
+		grown := make([]line, off, min(max(2*cap(c.lines), off+n), c.sets*c.assoc))
+		copy(grown, c.lines)
+		c.lines = grown
+	}
+	c.lines = c.lines[:off+n]
+	c.pages[p] = int32(off + 1)
+	return c.set(block)
+}
+
+// way returns the line of set holding block, or nil.
+func way(set []line, block int64) *line {
 	for i := range set {
 		if set[i].valid && set[i].block == block {
 			return &set[i]
@@ -113,6 +158,8 @@ func (c *Cache) find(block int64) *line {
 	}
 	return nil
 }
+
+func (c *Cache) find(block int64) *line { return way(c.set(block), block) }
 
 // State returns the line state for block (Invalid if absent).
 func (c *Cache) State(block int64) State {
@@ -150,17 +197,25 @@ type Victim struct {
 // needed, and returns the displaced victim (Victim.Valid false if a free
 // way was used). Filling an already-present block just updates its state.
 func (c *Cache) Fill(block int64, st State, now uint64) Victim {
-	if l := c.find(block); l != nil {
-		l.state = st
-		l.lastUse = now
-		return Victim{}
+	return c.fill(c.set(block), block, st, now)
+}
+
+// fill is Fill on block's set as c.set returned it (nil allocates its
+// page), so a caller that already looked the block up does not again.
+func (c *Cache) fill(set []line, block int64, st State, now uint64) Victim {
+	if set == nil {
+		set = c.allocSet(block)
 	}
-	set := c.set(block)
 	vi := -1
 	for i := range set {
 		if !set[i].valid {
-			vi = i
-			break
+			if vi < 0 {
+				vi = i
+			}
+		} else if set[i].block == block {
+			set[i].state = st
+			set[i].lastUse = now
+			return Victim{}
 		}
 	}
 	var v Victim
@@ -195,11 +250,18 @@ func (c *Cache) Downgrade(block int64) (wasDirty bool) {
 	return false
 }
 
-// ForEach calls fn for every valid line (used by coherence validators).
+// ForEach calls fn for every valid line in set order (used by coherence
+// validators, whose reports follow it).
 func (c *Cache) ForEach(fn func(block int64, st State)) {
-	for i := range c.lines {
-		if c.lines[i].valid {
-			fn(c.lines[i].block, c.lines[i].state)
+	for p := range c.pages {
+		if c.pages[p] == 0 {
+			continue
+		}
+		lo := int(c.pages[p]) - 1
+		for i := lo; i < lo+c.pageLines(p); i++ {
+			if c.lines[i].valid {
+				fn(c.lines[i].block, c.lines[i].state)
+			}
 		}
 	}
 }

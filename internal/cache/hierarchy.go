@@ -90,30 +90,41 @@ const (
 	Miss
 )
 
+// usable reports whether a line in state st satisfies the access locally.
+func usable(st State, write bool) bool {
+	return st == Dirty || (st == Shared && !write)
+}
+
 // Access performs a read or write lookup. On Hit the line states are
 // updated (a write hit on Dirty stays Dirty). On MissUpgrade/Miss the
 // caller must run the protocol and then call FillShared/FillDirty or
-// Upgrade.
+// Upgrade. Each level's set is looked up once.
 func (h *Hierarchy) Access(block int64, write bool, now uint64) AccessResult {
 	if write {
 		h.stats.Writes++
 	} else {
 		h.stats.Reads++
 	}
-	st1 := h.l1.State(block)
-	if st1 == Dirty || (st1 == Shared && !write) {
+	set1 := h.l1.set(block)
+	if l1 := way(set1, block); l1 != nil && usable(l1.state, write) {
 		h.stats.L1Hits++
-		h.l1.Touch(block, now)
-		h.l2.Touch(block, now)
+		l1.lastUse = now
+		if l2 := h.l2.find(block); l2 != nil {
+			l2.lastUse = now
+		}
 		return Hit
 	}
-	st2 := h.l2.State(block)
-	if st2 == Dirty || (st2 == Shared && !write) {
+	l2 := h.l2.find(block)
+	st2 := Invalid
+	if l2 != nil {
+		st2 = l2.state
+	}
+	if usable(st2, write) {
 		h.stats.L2Hits++
-		h.l2.Touch(block, now)
+		l2.lastUse = now
 		// Refill L1 from L2 (inclusion guarantees L2 keeps the block;
 		// an L1 victim's dirtiness is already reflected in L2 state).
-		h.fillL1(block, st2, now)
+		h.fillL1(set1, block, st2, now)
 		return Hit
 	}
 	if st2 == Shared && write {
@@ -124,9 +135,10 @@ func (h *Hierarchy) Access(block int64, write bool, now uint64) AccessResult {
 	return Miss
 }
 
-// fillL1 installs block in L1, folding any dirty victim state into L2.
-func (h *Hierarchy) fillL1(block int64, st State, now uint64) {
-	v := h.l1.Fill(block, st, now)
+// fillL1 installs block in L1, whose set for it is set1 as Cache.set
+// returned it, folding any dirty victim state into L2.
+func (h *Hierarchy) fillL1(set1 []line, block int64, st State, now uint64) {
+	v := h.l1.fill(set1, block, st, now)
 	if v.Valid && v.Dirty {
 		// Inclusion: the victim must still be in L2; record dirtiness.
 		h.l2.SetState(v.Block, Dirty)
@@ -147,14 +159,14 @@ func (h *Hierarchy) Fill(block int64, st State, now uint64) Victim {
 			h.stats.DirtyEv++
 		}
 	}
-	h.fillL1(block, st, now)
+	h.fillL1(h.l1.set(block), block, st, now)
 	return v2
 }
 
 // Upgrade marks an existing Shared copy Dirty after ownership arrives.
 func (h *Hierarchy) Upgrade(block int64, now uint64) {
 	h.l2.SetState(block, Dirty)
-	h.fillL1(block, Dirty, now)
+	h.fillL1(h.l1.set(block), block, Dirty, now)
 }
 
 // Invalidate removes block from both levels; reports presence and whether

@@ -18,6 +18,7 @@ func TestConfigValidate(t *testing.T) {
 		{"L1 not set-divisible", "L1", Config{L1Size: 256, L1Assoc: 3, L2Size: 1024, L2Assoc: 2, Block: 16}},
 		{"L2 zero assoc", "L2", Config{L1Size: 256, L1Assoc: 1, L2Size: 1024, Block: 16}},
 		{"inclusion violated", "L2", Config{L1Size: 1024, L1Assoc: 1, L2Size: 256, L2Assoc: 1, Block: 16}},
+		{"L2 past the page index", "L2", Config{L1Size: 256, L1Assoc: 1, L2Size: 1 << 35, L2Assoc: 1, Block: 16}},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()

@@ -9,7 +9,7 @@ import (
 
 // FuzzRead feeds arbitrary bytes to the trace parser: it must never panic
 // and must either fail with ErrFormat or return a structurally valid
-// workload that re-serializes.
+// workload, with a non-negative SharedBytes, that re-serializes.
 func FuzzRead(f *testing.F) {
 	// Seed with a valid trace and a few corruptions.
 	var b tango.Builder
@@ -33,6 +33,9 @@ func FuzzRead(f *testing.F) {
 		got, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		if got.SharedBytes < 0 {
+			t.Fatalf("accepted negative SharedBytes %d", got.SharedBytes)
 		}
 		// Whatever parsed must roundtrip.
 		var out bytes.Buffer

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"dircoh/internal/tango"
 )
@@ -33,11 +34,16 @@ var magic = [4]byte{'D', 'C', 'T', 'R'}
 // Version is the current format version.
 const Version = 1
 
-// ErrFormat is returned when the input is not a valid trace.
+// ErrFormat is returned when the input is not a valid trace, or when a
+// workload cannot be written as one.
 var ErrFormat = errors.New("trace: invalid format")
 
-// Write serializes w's streams to out.
+// Write serializes w's streams to out. A negative SharedBytes has no
+// encoding and is refused.
 func Write(out io.Writer, wl *tango.Workload) error {
+	if wl.SharedBytes < 0 {
+		return fmt.Errorf("%w: negative shared bytes %d", ErrFormat, wl.SharedBytes)
+	}
 	bw := bufio.NewWriter(out)
 	if _, err := bw.Write(magic[:]); err != nil {
 		return err
@@ -118,6 +124,9 @@ func Read(in io.Reader) (*tango.Workload, error) {
 	shared, err := binary.ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrFormat, err)
+	}
+	if shared > math.MaxInt64 {
+		return nil, fmt.Errorf("%w: shared bytes %d overflow int64", ErrFormat, shared)
 	}
 	procs, err := binary.ReadUvarint(br)
 	if err != nil {

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -82,6 +84,33 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: err = %v, want ErrFormat", name, err)
 		}
+	}
+}
+
+// TestNegativeSharedBytes: Write refuses a negative SharedBytes, and Read
+// refuses a shared-bytes field past MaxInt64, which would read back
+// negative.
+func TestNegativeSharedBytes(t *testing.T) {
+	wl := &tango.Workload{Name: "x", SharedBytes: -5, Streams: [][]tango.Ref{{{Op: tango.Read, Addr: 8}}}}
+	var buf bytes.Buffer
+	if err := Write(&buf, wl); !errors.Is(err, ErrFormat) {
+		t.Fatalf("Write: err = %v, want ErrFormat", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("Write wrote %d bytes before refusing", buf.Len())
+	}
+	// Header through the name ("x"), then shared = 2^63 as a uvarint.
+	data := []byte{'D', 'C', 'T', 'R', 1, 0, 1, 'x'}
+	data = binary.AppendUvarint(data, 1<<63)
+	data = append(data, 0) // no processors
+	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrFormat) {
+		t.Fatalf("Read: err = %v, want ErrFormat", err)
+	}
+	data = binary.AppendUvarint(data[:8], math.MaxInt64)
+	data = append(data, 0)
+	got, err := Read(bytes.NewReader(data))
+	if err != nil || got.SharedBytes != math.MaxInt64 {
+		t.Fatalf("Read at MaxInt64 = %+v, %v", got, err)
 	}
 }
 
