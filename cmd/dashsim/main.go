@@ -29,19 +29,6 @@ import (
 
 const tool = "dashsim"
 
-func policy(name string) (sparse.ReplacePolicy, error) {
-	switch strings.ToLower(name) {
-	case "lru":
-		return sparse.LRU, nil
-	case "rand", "random":
-		return sparse.Random, nil
-	case "lra":
-		return sparse.LRA, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q (want lru|rand|lra)", name)
-	}
-}
-
 func main() {
 	var (
 		app     = flag.String("app", "LocusRoute", "application: "+strings.Join(apps.All(), ", "))
@@ -68,7 +55,7 @@ func main() {
 	if err != nil {
 		cli.Usagef(tool, "%v", err)
 	}
-	pol, err := policy(*polName)
+	pol, err := sparse.ParsePolicy(*polName)
 	if err != nil {
 		cli.Usagef(tool, "%v", err)
 	}
@@ -157,11 +144,4 @@ func main() {
 		fmt.Print(r.ReadLat.Render("read latency (cycles)"))
 		fmt.Print(r.WriteLat.Render("write latency (cycles)"))
 	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

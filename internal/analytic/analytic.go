@@ -56,9 +56,18 @@ func InvalCurve(scheme core.Scheme, trials int, seed int64) []float64 {
 	return out
 }
 
-// Fig2Table renders Figure 2 (a: 32 nodes with Dir3CV2, b: 64 nodes with
-// Dir3CV4) as a table of average invalidations per sharer count.
-func Fig2Table(nodes, trials int, seed int64) *stats.Table {
+// Fig2 is Figure 2 at one machine size (a: 32 nodes with Dir3CV2, b: 64
+// nodes with Dir3CV4): each scheme's average-invalidations curve, computed
+// once and drawn both as a table and as an ASCII plot.
+type Fig2 struct {
+	nodes  int
+	names  []string
+	curves [][]float64 // curves[i][s] = scheme i's average invalidations with s sharers
+}
+
+// NewFig2 computes Figure 2's curves for Dir3B, Dir3X, Dir3CV_r and the
+// full bit vector on a machine of the given node count.
+func NewFig2(nodes, trials int, seed int64) *Fig2 {
 	region := 2
 	if nodes >= 64 {
 		region = 4
@@ -69,21 +78,39 @@ func Fig2Table(nodes, trials int, seed int64) *stats.Table {
 		core.Must(core.NewCoarseVector(3, region, nodes)),
 		core.Must(core.NewFullVector(nodes)),
 	}
-	header := []string{"sharers"}
-	curves := make([][]float64, len(schemes))
-	for i, s := range schemes {
-		header = append(header, s.Name())
-		curves[i] = InvalCurve(s, trials, seed)
+	f := &Fig2{nodes: nodes}
+	for _, s := range schemes {
+		f.names = append(f.names, s.Name())
+		f.curves = append(f.curves, InvalCurve(s, trials, seed))
 	}
-	tb := stats.NewTable(header...)
-	for s := 1; s < nodes; s++ {
+	return f
+}
+
+// Table renders the curves as a table of average invalidations per sharer
+// count.
+func (f *Fig2) Table() *stats.Table {
+	tb := stats.NewTable(append([]string{"sharers"}, f.names...)...)
+	for s := 1; s < f.nodes; s++ {
 		row := []string{fmt.Sprintf("%d", s)}
-		for _, c := range curves {
+		for _, c := range f.curves {
 			row = append(row, fmt.Sprintf("%.2f", c[s]))
 		}
 		tb.AddRow(row...)
 	}
 	return tb
+}
+
+// Plot draws the curves as an ASCII chart over sharer counts 1..nodes-1.
+func (f *Fig2) Plot() string {
+	xs := make([]int, 0, f.nodes-1)
+	for s := 1; s < f.nodes; s++ {
+		xs = append(xs, s)
+	}
+	p := stats.NewPlot("", "number of sharers", "invalidations per write")
+	for i, c := range f.curves {
+		p.AddSeries(f.names[i], xs, c[1:f.nodes])
+	}
+	return p.Render(64, 20)
 }
 
 // OverheadConfig describes one machine row of Table 1.

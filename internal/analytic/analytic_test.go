@@ -78,12 +78,15 @@ func TestInvalCurvePanics(t *testing.T) {
 }
 
 func TestFig2Table(t *testing.T) {
-	tb := Fig2Table(32, 50, 1)
-	s := tb.String()
+	f := NewFig2(32, 50, 1)
+	s := f.Table().String()
 	if !strings.Contains(s, "Dir3CV2") || !strings.Contains(s, "Dir32") {
 		t.Fatalf("table missing schemes:\n%s", s)
 	}
-	tb64 := Fig2Table(64, 50, 1)
+	if p := f.Plot(); !strings.Contains(p, "Dir3CV2") || !strings.Contains(p, "number of sharers") {
+		t.Fatalf("plot missing legend or axis:\n%s", p)
+	}
+	tb64 := NewFig2(64, 50, 1).Table()
 	if !strings.Contains(tb64.String(), "Dir3CV4") {
 		t.Fatal("64-node table should use region 4")
 	}

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -30,7 +31,8 @@ import (
 //
 // Addresses and values accept decimal or 0x-prefixed hex; an address must
 // lie in [0, MaxInt64 - tango.WordBytes]. Blank lines and lines starting
-// with '#' are skipped.
+// with '#' are skipped. Every line, comments included, must be shorter
+// than maxTraceLine (1 MiB).
 
 // TraceParseError reports a malformed trace line with its position.
 type TraceParseError struct {
@@ -43,12 +45,16 @@ func (e *TraceParseError) Error() string {
 	return fmt.Sprintf("trace %s:%d: %s", e.File, e.Line, e.Msg)
 }
 
+// maxTraceLine bounds one trace line, so a corrupt file cannot make the
+// parser buffer it whole.
+const maxTraceLine = 1 << 20
+
 // ParseTrace reads one core's RD/WR instruction stream. The name is used
 // in error messages only.
 func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 	var refs []tango.Ref
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), maxTraceLine)
 	lineNo := 0
 	fail := func(msg string) error {
 		return &TraceParseError{File: name, Line: lineNo, Msg: msg}
@@ -102,7 +108,10 @@ func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 			return nil, fail(fmt.Sprintf("unknown instruction %q (want RD or WR)", fields[0]))
 		}
 	}
-	if err := sc.Err(); err != nil {
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		lineNo++
+		return nil, fail(fmt.Sprintf("line of %d bytes or more", maxTraceLine))
+	} else if err != nil {
 		return nil, fmt.Errorf("trace %s: %w", name, err)
 	}
 	return refs, nil

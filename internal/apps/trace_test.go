@@ -69,9 +69,23 @@ func TestParseTraceErrors(t *testing.T) {
 	}
 }
 
-// FuzzParseTrace: the RD/WR parser never panics, every address it accepts
-// leaves room for a word before int64 overflows, and it returns one ref per
-// RD or WR line.
+// TestParseTraceLongLine: a line past the length limit — even a comment —
+// is a *TraceParseError naming the file and the line.
+func TestParseTraceLongLine(t *testing.T) {
+	in := "RD 0x10\n#" + strings.Repeat("x", 2<<20) + "\nRD 0x20\n"
+	_, err := ParseTrace(strings.NewReader(in), "core_0.txt")
+	var pe *TraceParseError
+	if !errors.As(err, &pe) {
+		t.Fatalf("error = %v, want *TraceParseError", err)
+	}
+	if pe.File != "core_0.txt" || pe.Line != 2 {
+		t.Errorf("error at %s:%d, want core_0.txt:2", pe.File, pe.Line)
+	}
+}
+
+// FuzzParseTrace: the RD/WR parser never panics, every error it returns is
+// a *TraceParseError, every address it accepts leaves room for a word
+// before int64 overflows, and it returns one ref per RD or WR line.
 func FuzzParseTrace(f *testing.F) {
 	f.Add("# ping-pong\nWR 0x15 100\nRD 0x17\n\nrd 32\nwr 0x20 0x7f\n")
 	f.Add("RD 0x7ffffffffffffff7\r\nWR 9223372036854775799 -1")
@@ -81,8 +95,8 @@ func FuzzParseTrace(f *testing.F) {
 		refs, err := ParseTrace(strings.NewReader(in), "fuzz")
 		if err != nil {
 			var pe *TraceParseError
-			if !errors.As(err, &pe) && !strings.Contains(err.Error(), "token too long") {
-				t.Fatalf("error %v is neither a *TraceParseError nor a scanner limit", err)
+			if !errors.As(err, &pe) {
+				t.Fatalf("error %v is not a *TraceParseError", err)
 			}
 			return
 		}

@@ -122,9 +122,10 @@ func TestStressCampaignDeterministic(t *testing.T) {
 }
 
 // TestSweepCampaignMatchesSweep: a sweep campaign's assembled result is
-// byte-identical to exp.Session.Sweep over the same sections.
+// byte-identical to exp.Session.Sweep over the same sections, ablations
+// included.
 func TestSweepCampaignMatchesSweep(t *testing.T) {
-	const only = "t1,scale"
+	const only = "t1,scale,lock,barrier"
 	m, err := Open(Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +145,9 @@ func TestSweepCampaignMatchesSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp.NewSession(exp.Observer{}, 0).Sweep(&want, keys, 8, 50)
+	if err := exp.NewSession(exp.Observer{}, 0).Sweep(&want, keys, 8, 50, exp.Plain); err != nil {
+		t.Fatal(err)
+	}
 	if got != want.String() {
 		t.Fatalf("campaign sweep diverged from exp.Sweep:\n%q\nvs\n%q", got, want.String())
 	}

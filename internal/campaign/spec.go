@@ -214,8 +214,8 @@ func (s *Spec) RunJob(i int, sess *exp.Session, timeout time.Duration) (out stri
 	case "sweep":
 		var buf bytes.Buffer
 		key := s.Sweep.sections()[i]
-		sess.RenderSweepSection(&buf, key, s.Sweep.Procs, s.Sweep.Trials)
-		return buf.String(), nil
+		err := sess.RenderSweepSection(&buf, key, s.Sweep.Procs, s.Sweep.Trials, exp.Plain)
+		return buf.String(), err
 	case "suite":
 		r, err := sess.ExecuteSpec(s.Suite.Runs[i])
 		if err != nil {

@@ -57,19 +57,6 @@ type OverflowSpec struct {
 	Policy      string `json:"policy"`
 }
 
-func policy(name string) (sparse.ReplacePolicy, error) {
-	switch strings.ToLower(name) {
-	case "", "lru":
-		return sparse.LRU, nil
-	case "rand", "random":
-		return sparse.Random, nil
-	case "lra":
-		return sparse.LRA, nil
-	default:
-		return 0, fmt.Errorf("config: unknown replacement policy %q", name)
-	}
-}
-
 // MachineSpec is the JSON form of machine.Config.
 type MachineSpec struct {
 	Procs           int           `json:"procs"`           // default 32
@@ -122,9 +109,9 @@ func (s *MachineSpec) Build() (machine.Config, error) {
 		cfg.Cache = cc
 	}
 	if s.Sparse != nil {
-		pol, err := policy(s.Sparse.Policy)
+		pol, err := sparse.ParsePolicy(s.Sparse.Policy)
 		if err != nil {
-			return machine.Config{}, err
+			return machine.Config{}, fmt.Errorf("config: %w", err)
 		}
 		assoc := s.Sparse.Assoc
 		if assoc <= 0 {
@@ -133,9 +120,9 @@ func (s *MachineSpec) Build() (machine.Config, error) {
 		cfg.Sparse = machine.SparseConfig{Entries: s.Sparse.Entries, Assoc: assoc, Policy: pol}
 	}
 	if s.Overflow != nil {
-		pol, err := policy(s.Overflow.Policy)
+		pol, err := sparse.ParsePolicy(s.Overflow.Policy)
 		if err != nil {
-			return machine.Config{}, err
+			return machine.Config{}, fmt.Errorf("config: %w", err)
 		}
 		cfg.Overflow = &machine.OverflowDirConfig{
 			Ptrs:        s.Overflow.Ptrs,
@@ -169,8 +156,9 @@ type Suite struct {
 	Runs []RunSpec `json:"runs"`
 }
 
-// Load parses a suite from JSON, rejecting unknown fields so typos fail
-// loudly.
+// Load parses a suite from JSON, rejecting unknown fields and machines
+// that do not build (an unknown scheme, policy or barrier) so typos fail
+// loudly before any run starts.
 func Load(r io.Reader) (*Suite, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -184,6 +172,9 @@ func Load(r io.Reader) (*Suite, error) {
 	for i := range s.Runs {
 		if s.Runs[i].App == "" {
 			return nil, fmt.Errorf("config: run %d has no app", i)
+		}
+		if _, err := s.Runs[i].Machine.Build(); err != nil {
+			return nil, fmt.Errorf("run %d: %w", i, err)
 		}
 		if s.Runs[i].Name == "" {
 			kind := s.Runs[i].Machine.Scheme.Kind

@@ -71,10 +71,11 @@ func TestLoadFull(t *testing.T) {
 
 func TestLoadErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty runs":    `{"runs":[]}`,
-		"no app":        `{"runs":[{}]}`,
-		"unknown field": `{"runs":[{"app":"LU","typo":1}]}`,
-		"invalid json":  `{`,
+		"empty runs":     `{"runs":[]}`,
+		"no app":         `{"runs":[{}]}`,
+		"unknown field":  `{"runs":[{"app":"LU","typo":1}]}`,
+		"invalid json":   `{`,
+		"unknown policy": `{"runs":[{"app":"LU","machine":{"sparse":{"entries":8,"policy":"fifo"}}}]}`,
 	}
 	for name, src := range cases {
 		if _, err := Load(strings.NewReader(src)); err == nil {

@@ -108,32 +108,6 @@ func TestNetworkContentionAmplifiesBroadcast(t *testing.T) {
 	}
 }
 
-// TestWriteReportSmoke renders a reduced report and checks its structure.
-func TestWriteReportSmoke(t *testing.T) {
-	var buf strings.Builder
-	opt := ReportOptions{Procs: 8, Trials: 50, Sparse: false, Ablations: false}
-	if err := ts.WriteReport(&buf, opt); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	for _, want := range []string{
-		"# Evaluation report (8 processors)",
-		"## Figure 2",
-		"## Table 1",
-		"## Table 2",
-		"## Figures 3–6",
-		"## Figure 7 — performance for LU",
-		"## Figure 10 — performance for LocusRoute",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("report missing %q", want)
-		}
-	}
-	if strings.Contains(s, "## Ablations") {
-		t.Error("ablations should be skipped")
-	}
-}
-
 // TestBarrierStudy: under port contention the combining tree beats the
 // central barrier, whose home cluster absorbs every arrival.
 func TestBarrierStudy(t *testing.T) {

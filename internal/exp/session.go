@@ -10,7 +10,7 @@ import (
 // Session binds one experiment campaign's execution policy: the
 // observability hooks installed on every run, the worker pool independent
 // simulations are spread across, and the job meter the sweep footer reads.
-// Every driver (SchemeComparison, SparsePerformance, WriteReport, ...) is a
+// Every driver (SchemeComparison, SparsePerformance, Sweep, ...) is a
 // Session method; two sessions never share state, so tests and tools can
 // run campaigns concurrently with different instrumentation.
 //

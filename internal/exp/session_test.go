@@ -3,6 +3,7 @@ package exp
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,5 +37,64 @@ func TestParseSections(t *testing.T) {
 		if msg := err.Error(); !strings.Contains(msg, `"`+ue.Key+`"`) || !strings.Contains(msg, "scale-sim") {
 			t.Errorf("ParseSections(%q): %q does not name the key and the valid ones", only, msg)
 		}
+	}
+}
+
+// TestSectionTable checks the evaluation's section table without running
+// a simulation: keys are unique and each parses as itself, every block has
+// a title and a renderer, and the first ten keys keep the order saved
+// sweep campaigns replay their jobs in.
+func TestSectionTable(t *testing.T) {
+	seen := make(map[string]bool)
+	for _, sec := range sections {
+		if seen[sec.key] {
+			t.Errorf("duplicate section key %q", sec.key)
+		}
+		seen[sec.key] = true
+		if got, err := ParseSections(sec.key); err != nil || !slices.Equal(got, []string{sec.key}) {
+			t.Errorf("ParseSections(%q) = %v, %v", sec.key, got, err)
+		}
+		if len(sec.blocks) == 0 {
+			t.Errorf("section %q has no blocks", sec.key)
+		}
+		for _, b := range sec.blocks {
+			if strings.TrimSpace(b.title) == "" || b.render == nil {
+				t.Errorf("section %q has a block without a title or renderer: %+v", sec.key, b)
+			}
+		}
+	}
+	first := []string{"2", "t1", "t2", "3-6", "7-10", "11-12", "13", "14", "scale", "scale-sim"}
+	if got := SweepSectionKeys[:len(first)]; !slices.Equal(got, first) {
+		t.Errorf("first section keys = %v, want %v", got, first)
+	}
+}
+
+// failAfter errors every write past a byte budget — the disk-full case.
+type failAfter struct {
+	n int
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n <= 0 {
+		return 0, errDiskFull
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestSweepPropagatesWriteError: in either format, a sweep whose writer
+// fails returns the write error, and an unknown key is a typed error.
+func TestSweepPropagatesWriteError(t *testing.T) {
+	for _, f := range []Format{Plain, Markdown} {
+		err := ts.Sweep(&failAfter{n: 64}, []string{"t1", "scale"}, 8, 16, f)
+		if !errors.Is(err, errDiskFull) {
+			t.Errorf("format %d: Sweep error = %v, want %v", f, err, errDiskFull)
+		}
+	}
+	var ue *UnknownSectionError
+	if err := ts.Sweep(&strings.Builder{}, []string{"zzz"}, 8, 16, Plain); !errors.As(err, &ue) {
+		t.Errorf("Sweep of an unknown key: error = %v, want *UnknownSectionError", err)
 	}
 }

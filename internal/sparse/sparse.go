@@ -11,6 +11,7 @@ package sparse
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"dircoh/internal/core"
 	"dircoh/internal/obs"
@@ -125,6 +126,20 @@ func (p ReplacePolicy) String() string {
 	default:
 		return fmt.Sprintf("ReplacePolicy(%d)", int(p))
 	}
+}
+
+// ParsePolicy parses a replacement policy name, in any case: lru, rand
+// (or random) or lra. "" is LRU, the default.
+func ParsePolicy(name string) (ReplacePolicy, error) {
+	switch strings.ToLower(name) {
+	case "", "lru":
+		return LRU, nil
+	case "rand", "random":
+		return Random, nil
+	case "lra":
+		return LRA, nil
+	}
+	return 0, fmt.Errorf("unknown replacement policy %q (want lru, rand or lra)", name)
 }
 
 // FullMap is the non-sparse baseline: one (lazily materialized) entry per

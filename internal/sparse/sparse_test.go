@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -192,6 +193,19 @@ func TestPolicyString(t *testing.T) {
 	}
 	if ReplacePolicy(7).String() == "" {
 		t.Fatal("unknown policy should render")
+	}
+}
+
+func TestParsePolicy(t *testing.T) {
+	for name, want := range map[string]ReplacePolicy{
+		"": LRU, "lru": LRU, "LRU": LRU, "rand": Random, "Random": Random, "lra": LRA,
+	} {
+		if got, err := ParsePolicy(name); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParsePolicy("fifo"); err == nil || !strings.Contains(err.Error(), `"fifo"`) {
+		t.Errorf("ParsePolicy(fifo) error = %v, want one naming the policy", err)
 	}
 }
 
