@@ -111,15 +111,23 @@ func main() {
 	fmt.Printf("shared refs: %d (%d reads, %d writes), sync ops: %d, shared data: %.1f KB\n",
 		c.SharedRefs, c.SharedReads, c.SharedWrites, c.SyncOps, float64(c.SharedBytes)/1024)
 
+	// A failed run still hands its trace, spans and metrics to the outputs
+	// before Fatalf stops them: they show how the run got where it failed.
+	fail := func(format string, args ...any) {
+		m.FlushTrace()
+		m.FlushSpans()
+		obsFlags.WriteMetrics(w.Name, m.MetricsSnapshot())
+		cli.Fatalf(tool, format, args...)
+	}
 	r, err := m.Run(w)
 	if err != nil {
-		cli.Fatalf(tool, "%v", err)
+		fail("%v", err)
 	}
 	if err := m.CheckCoherence(); err != nil {
-		cli.Fatalf(tool, "coherence check failed: %v", err)
+		fail("coherence check failed: %v", err)
 	}
 	if err := m.CheckErr(); err != nil {
-		cli.Fatalf(tool, "%v (%d total; see -check-out for records)", err, m.ViolationCount())
+		fail("%v (%d total; see -check-out for records)", err, m.ViolationCount())
 	}
 	cli.Check(tool, m.FlushTrace())
 	cli.Check(tool, m.FlushSpans())

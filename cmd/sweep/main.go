@@ -52,7 +52,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "\nsweep completed in %s with %d workers\n", elapsed.Round(time.Second), s.Parallelism())
 	fmt.Fprintln(os.Stderr, s.Meter().Summary().Footer(elapsed))
 	if err != nil {
-		obsFlags.Stop() // Fatalf exits without running deferred calls
-		cli.Fatalf("sweep", "%v", err)
+		cli.Fatalf("sweep", "%v", err) // stops the outputs before exiting
 	}
 }

@@ -60,11 +60,48 @@ func Listen(addr string) (net.Listener, error) {
 // requests to finish before closing connections hard.
 const shutdownTimeout = 5 * time.Second
 
-// Fatalf prints "tool: message" to stderr and exits with status 1 — the
-// one way commands report runtime failures.
+// Fatalf prints "tool: message" to stderr, stops every observability
+// session still running (so traces, spans, violation records, metrics and
+// profiles reach their files, as a deferred Stop would have written them)
+// and exits with status 1 — the one way commands report runtime failures.
 func Fatalf(tool, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "%s: %s\n", tool, fmt.Sprintf(format, args...))
+	stopRunning()
 	os.Exit(1)
+}
+
+// running holds the sessions Start opened and Stop has not closed, which
+// a failure exit stops.
+var (
+	runningMu sync.Mutex
+	running   []*Obs
+)
+
+// stopRunning stops every running session. A Stop that fails exits
+// through Fatalf again, which finds the session already gone.
+func stopRunning() {
+	runningMu.Lock()
+	open := running
+	running = nil
+	runningMu.Unlock()
+	for i := len(open) - 1; i >= 0; i-- {
+		open[i].Stop()
+	}
+}
+
+// setRunning records (on) or forgets (off) o as a running session.
+func setRunning(o *Obs, on bool) {
+	runningMu.Lock()
+	defer runningMu.Unlock()
+	for i, r := range running {
+		if r == o {
+			running = append(running[:i], running[i+1:]...)
+			break
+		}
+	}
+	if on {
+		running = append(running, o)
+	}
 }
 
 // Usagef is Fatalf for bad flag values; it exits with status 2, the
@@ -121,6 +158,8 @@ type Obs struct {
 	mu      sync.Mutex // serializes metrics blocks from concurrent runs
 	metrics *os.File
 	cpu     *os.File
+
+	started bool // Start has run and Stop has not
 }
 
 // NewObs registers the shared observability flags on the default flag set
@@ -207,8 +246,11 @@ func (o *Obs) serveProgress(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Start opens the requested outputs and starts profiling. Call after
-// flag.Parse; pair with a deferred Stop.
+// flag.Parse; pair with a deferred Stop. Until Stop runs, Fatalf and
+// Check stop the session before exiting.
 func (o *Obs) Start() error {
+	o.started = true
+	setRunning(o, true)
 	if o.cpuPath != "" {
 		f, err := os.Create(o.cpuPath)
 		if err != nil {
@@ -292,7 +334,13 @@ func (o *Obs) Start() error {
 // Stop flushes and closes everything Start opened and writes the heap
 // profile if one was requested. Errors are fatal: a truncated trace or
 // profile silently accepted would defeat the point of asking for one.
+// Stopping a session twice is a no-op.
 func (o *Obs) Stop() {
+	if !o.started {
+		return
+	}
+	o.started = false
+	setRunning(o, false)
 	if o.srv != nil {
 		// Let in-flight /metrics and /debug/pprof requests finish rather
 		// than abandoning the listener; past the deadline, close hard.

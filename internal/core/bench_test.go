@@ -63,3 +63,37 @@ func TestSharersAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestNoBroadcastOverflowAllocFree: a Dir_iNB pointer overflow, and a
+// lock grant popped from the same entry, return slices backed by
+// per-entry scratch — the read-caused invalidations of Figure 4 happen on
+// most Dir3NB misses of a widely read block.
+func TestNoBroadcastOverflowAllocFree(t *testing.T) {
+	for _, policy := range []VictimPolicy{VictimRandom, VictimOldest} {
+		s := Must(NewLimitedNoBroadcast(3, 64, policy, 1))
+		e := s.NewEntry()
+		n := 0
+		overflow := func() {
+			n++
+			if ev := e.AddSharer(n % 64); len(ev) > 1 {
+				t.Fatalf("%v: %d sharers dropped by one overflow", policy, len(ev))
+			}
+		}
+		for i := 0; i < 8; i++ {
+			overflow()
+		}
+		if a := testing.AllocsPerRun(100, overflow); a != 0 {
+			t.Errorf("%v: AddSharer on a full entry allocates %.1f objects per call", policy, a)
+		}
+		pop := func() {
+			e.AddSharer(n % 64)
+			n++
+			if g := e.PopGrant(); len(g) != 1 {
+				t.Fatalf("%v: PopGrant returned %v", policy, g)
+			}
+		}
+		if a := testing.AllocsPerRun(100, pop); a != 0 {
+			t.Errorf("%v: AddSharer+PopGrant allocates %.1f objects per call", policy, a)
+		}
+	}
+}

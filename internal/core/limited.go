@@ -238,6 +238,11 @@ type noBroadcastEntry struct {
 	s       *LimitedNoBroadcast
 	ptrs    packedPtrs // insertion order preserved except after random eviction
 	scratch sharerScratch
+	// evicted and granted back the one-element slices AddSharer and
+	// PopGrant return, so a pointer overflow allocates nothing; each is
+	// valid until the entry's next call.
+	evicted [1]NodeID
+	granted [1]NodeID
 	dirty   bool
 	owner   NodeID
 }
@@ -257,11 +262,11 @@ func (e *noBroadcastEntry) AddSharer(n NodeID) []NodeID {
 	default:
 		k = e.s.rng.Intn(e.ptrs.Len())
 	}
-	victim := e.ptrs.At(k)
+	e.evicted[0] = e.ptrs.At(k)
 	// Preserve order for the FIFO policy by shifting.
 	e.ptrs.RemoveShift(k)
 	e.ptrs.Append(n)
-	return []NodeID{victim}
+	return e.evicted[:]
 }
 
 func (e *noBroadcastEntry) RemoveSharer(n NodeID) {
@@ -315,7 +320,7 @@ func (e *noBroadcastEntry) PopGrant() []NodeID {
 	if e.ptrs.Len() == 0 {
 		return nil
 	}
-	n := e.ptrs.At(0)
+	e.granted[0] = e.ptrs.At(0)
 	e.ptrs.RemoveShift(0)
-	return []NodeID{n}
+	return e.granted[:]
 }

@@ -38,7 +38,8 @@ type Entry interface {
 	// AddSharer records node n as holding a copy. If the representation
 	// must drop an existing sharer to make room (Dir_iNB pointer
 	// overflow), the dropped nodes are returned and the caller must
-	// invalidate their cached copies.
+	// invalidate their cached copies. The returned slice may be backed by
+	// per-entry scratch: it is valid until the entry's next call.
 	AddSharer(n NodeID) (evicted []NodeID)
 
 	// RemoveSharer removes node n if the representation can express the
@@ -92,7 +93,9 @@ type Entry interface {
 	// PopGrant removes and returns a minimal releasable subset of the
 	// candidate set, used by queued directory locks (§7 of the paper):
 	// a precise representation yields a single node; a coarse vector
-	// yields one region; a broadcast yields everything.
+	// yields one region; a broadcast yields everything. Like AddSharer's,
+	// the returned slice may be backed by per-entry scratch, valid until
+	// the entry's next call.
 	PopGrant() []NodeID
 }
 

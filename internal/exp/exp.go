@@ -143,15 +143,25 @@ func (s *Session) runConfigured(name string, w *tango.Workload, cfg machine.Conf
 	if err != nil {
 		return nil, fail("build", err)
 	}
+	// A failed run still hands its trace, spans and metrics to the
+	// observer: they show how the run got where it failed.
+	failRun := func(stage string, err error) error {
+		tr.Flush()
+		sp.Flush()
+		if ob.Metrics != nil {
+			ob.Metrics(name, m.MetricsSnapshot())
+		}
+		return fail(stage, err)
+	}
 	r, err := m.Run(w)
 	if err != nil {
-		return nil, fail("run", err)
+		return nil, failRun("run", err)
 	}
 	if err := m.CheckCoherence(); err != nil {
-		return nil, fail("coherence", err)
+		return nil, failRun("coherence", err)
 	}
 	if err := m.CheckErr(); err != nil {
-		return nil, fail("check", err)
+		return nil, failRun("check", err)
 	}
 	if err := tr.Flush(); err != nil {
 		return nil, fail("trace", err)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dircoh/internal/tango"
@@ -9,7 +10,9 @@ import (
 
 // BenchmarkMachineRefsPerSec measures end-to-end simulation throughput:
 // simulated shared references per wall-clock second on a 16-processor
-// machine with a mixed workload.
+// machine with a mixed workload, and the event loop's heap allocations
+// per event fired. The workload is generated once, outside the timed
+// loop, so neither metric includes the generator.
 func BenchmarkMachineRefsPerSec(b *testing.B) {
 	const procs = 16
 	const refsPerProc = 2000
@@ -30,6 +33,9 @@ func BenchmarkMachineRefsPerSec(b *testing.B) {
 		}
 		return wl(streams...)
 	}
+	w := mkWorkload(7)
+	var events, mallocs uint64
+	var before, after runtime.MemStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -37,9 +43,14 @@ func BenchmarkMachineRefsPerSec(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.Run(mkWorkload(7)); err != nil {
+		runtime.ReadMemStats(&before)
+		if _, err := m.Run(w); err != nil {
 			b.Fatal(err)
 		}
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		events += m.Events()
 	}
 	b.ReportMetric(float64(procs*refsPerProc*b.N)/b.Elapsed().Seconds(), "refs/s")
+	b.ReportMetric(float64(mallocs)/float64(events), "allocs/event")
 }

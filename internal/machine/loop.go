@@ -5,7 +5,8 @@ package machine
 // scheduled it and that cluster's event sequence (clusterNode.nextKey),
 // and the wheel fires equal-time events in ascending key order, so the
 // (time, origin cluster, sequence) event order depends only on
-// per-cluster scheduling order. Parallelism lives across runs (the
+// per-cluster scheduling order. Events are typed values the wheel hands
+// back to Machine.fire (see event.go). Parallelism lives across runs (the
 // runner pool), never inside one.
 //
 // The loop fires events in windows of the mesh's minimum cross-cluster
@@ -80,7 +81,7 @@ func (m *Machine) run() error {
 			return m.abort(fmt.Sprintf("liveness watchdog: proc %d made no progress for over %d cycles (budget exceeded at t=%d)",
 				stuck, budget, window))
 		}
-		m.w.RunUntil(window + stride - 1)
+		m.w.RunUntil(window+stride-1, m.fire)
 		if budget > 0 {
 			limit, stuck = m.watchdogScan()
 		}
@@ -136,7 +137,7 @@ func (m *Machine) foldGauges(reg *obs.Registry) {
 // sequence starts at 1) — so the sample fires before any event of cycle t
 // and enabling sampling shifts no protocol event's position.
 func (m *Machine) scheduleSample(t sim.Time) {
-	m.w.AtKey(t, 0, m.sample)
+	m.w.AtKey(t, 0, sim.Event{Stage: uint32(stSample)})
 }
 
 // sample is the periodic queue-depth sampler (Config.SampleEvery): it

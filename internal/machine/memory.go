@@ -16,7 +16,8 @@ func (m *Machine) access(p *proc, write bool, addr int64) {
 }
 
 // accessBlock runs one access by block number (used directly when MSHR
-// waiters retry).
+// waiters retry). The block and upgrade flag stay in p, with opWrite, for
+// the miss chain's stages.
 func (m *Machine) accessBlock(p *proc, write bool, b int64) {
 	now := m.now()
 	if !p.opPending {
@@ -24,15 +25,16 @@ func (m *Machine) accessBlock(p *proc, write bool, b int64) {
 		p.opWrite = write
 		p.opStart = now
 	}
+	p.block = b
 	switch p.h.Access(b, write, now) {
 	case cache.Hit:
 		m.complete(p, now+m.t.Hit)
 	case cache.MissUpgrade:
-		done := m.busOp(p.cl, m.t.Bus)
-		m.at(p.cl, done, func() { m.busMiss(p, write, b, true) })
+		p.upgrade = true
+		m.at(p.cl, m.busOp(p.cl, m.t.Bus), procEv(stBusMiss, p))
 	default: // Miss
-		done := m.busOp(p.cl, m.t.Bus)
-		m.at(p.cl, done, func() { m.busMiss(p, write, b, false) })
+		p.upgrade = false
+		m.at(p.cl, m.busOp(p.cl, m.t.Bus), procEv(stBusMiss, p))
 	}
 }
 
@@ -55,36 +57,51 @@ func (m *Machine) handleVictim(p *proc, v cache.Victim) {
 	if home == p.cl.id {
 		return // local memory updated over the bus; no network traffic
 	}
-	hc := m.clusters[home]
-	from := p.cl.id
-	m.send(protocol.WritebackReq, from, home, func() {
-		// A writeback superseded by a re-grant of ownership to the same
-		// cluster (the home counted it when serving that request) is
-		// stale: drop it.
-		if n := hc.wbExpected[vb]; n > 0 {
-			if n == 1 {
-				delete(hc.wbExpected, vb)
-			} else {
-				hc.wbExpected[vb] = n - 1
-			}
-			return
-		}
-		// Guarded update: only clear ownership if the directory still
-		// believes we own the block (a racing transaction may already
-		// have moved ownership; its forwarded request found no copy) and
-		// the cluster has not re-acquired the block dirty meanwhile
-		// (ownership bouncing away and back via a third cluster arms no
-		// wbExpected, so a fault-delayed writeback can arrive here stale).
-		// A busy gate with the entry dirty-owned by the sender can only
-		// mean an undelivered ownership grant back to the sender, which
-		// this writeback predates — treat it as stale too.
-		if e := hc.dir.Lookup(m.dirKey(vb), m.now()); e != nil && e.Dirty() && e.Owner() == from &&
-			!m.clusterHoldsDirty(m.clusters[from], vb) && !hc.gate.Busy(vb) {
-			e.Reset()
-			hc.dir.Release(m.dirKey(vb))
-		}
-		m.checkBlock(vb)
-	})
+	i, r := m.recs.take(stWriteback)
+	r.h, r.c, r.b = m.clusters[home], p.cl, vb
+	m.send(protocol.WritebackReq, p.cl.id, home, recEv(stWriteback, i))
+}
+
+// writebackAtHome applies a dirty victim's writeback from cluster r.c at
+// the home.
+func (m *Machine) writebackAtHome(r *rec) {
+	hc, vb, from := r.h, r.b, r.c.id
+	// A writeback superseded by a re-grant of ownership to the same
+	// cluster (the home counted it when serving that request) is stale:
+	// drop it.
+	if m.staleWriteback(hc, vb) {
+		return
+	}
+	// Guarded update: only clear ownership if the directory still believes
+	// we own the block (a racing transaction may already have moved
+	// ownership; its forwarded request found no copy) and the cluster has
+	// not re-acquired the block dirty meanwhile (ownership bouncing away
+	// and back via a third cluster arms no wbExpected, so a fault-delayed
+	// writeback can arrive here stale). A busy gate with the entry
+	// dirty-owned by the sender can only mean an undelivered ownership
+	// grant back to the sender, which this writeback predates — treat it
+	// as stale too.
+	if e := hc.dir.Lookup(m.dirKey(vb), m.now()); e != nil && e.Dirty() && e.Owner() == from &&
+		!m.clusterHoldsDirty(r.c, vb) && !hc.gate.Busy(vb) {
+		e.Reset()
+		hc.dir.Release(m.dirKey(vb))
+	}
+	m.checkBlock(vb)
+}
+
+// staleWriteback consumes one expected stale writeback for block b at the
+// home hc (see wbExpected) and reports whether there was one.
+func (m *Machine) staleWriteback(hc *clusterNode, b int64) bool {
+	n := hc.wbExpected[b]
+	if n == 0 {
+		return false
+	}
+	if n == 1 {
+		delete(hc.wbExpected, b)
+	} else {
+		hc.wbExpected[b] = n - 1
+	}
+	return true
 }
 
 // busMiss runs after p's local bus transaction: snoop the cluster's other
@@ -124,7 +141,7 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 		if c.pendingWrite[b] {
 			// Another local processor's ownership request is in flight;
 			// retry over the bus when it completes.
-			c.writeWaiters[b] = append(c.writeWaiters[b], mshrWaiter{p: p, write: true})
+			c.writeWaiters[b] = append(c.writeWaiters[b], p)
 			m.mergedReads.Inc()
 			return
 		}
@@ -135,17 +152,17 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 			kind = protocol.UpgradeReq
 			class = obs.TxUpgrade
 		}
-		tx := m.txStart(class, c, b)
+		p.tx = m.txStart(class, c, b)
 		m.trace(obs.EvReqIssue, c.id, b, int64(kind))
 		p.grantOwed = true
-		m.sendTx(kind, c.id, home, tx, func() { m.remoteWriteAtHome(p, b, upgrade, tx) })
+		m.sendTx(kind, c.id, home, p.tx, procEv(stWriteReq, p))
 		return
 	}
 	// Read. An ownership request in flight from this cluster wins the
 	// MSHR check before any bus supply: the sibling's copy is about to
 	// be superseded, so park and retry once the write lands.
 	if c.pendingWrite[b] {
-		c.writeWaiters[b] = append(c.writeWaiters[b], mshrWaiter{p: p})
+		c.writeWaiters[b] = append(c.writeWaiters[b], p)
 		m.mergedReads.Inc()
 		return
 	}
@@ -182,9 +199,9 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 		return
 	}
 	c.pendingReads[b] = nil
-	tx := m.txStart(obs.TxRead, c, b)
+	p.tx = m.txStart(obs.TxRead, c, b)
 	m.trace(obs.EvReqIssue, c.id, b, int64(protocol.ReadReq))
-	m.sendTx(protocol.ReadReq, c.id, home, tx, func() { m.remoteReadAtHome(p, b, tx) })
+	m.sendTx(protocol.ReadReq, c.id, home, p.tx, procEv(stReadReq, p))
 }
 
 // remoteReadDone fills p and every merged follower, completing them all.
@@ -194,10 +211,14 @@ func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 	m.txEnd(tx)
 	now := m.now()
 	poisoned := p.cl.poisonedReads[b]
-	procs := append([]*proc{p}, p.cl.pendingReads[b]...)
+	followers := p.cl.pendingReads[b]
 	delete(p.cl.pendingReads, b)
 	delete(p.cl.poisonedReads, b)
-	for _, q := range procs {
+	for k := -1; k < len(followers); k++ {
+		q := p
+		if k >= 0 {
+			q = followers[k]
+		}
 		if !poisoned {
 			m.fill(q, b, cache.Shared)
 		}
@@ -233,36 +254,36 @@ func (m *Machine) invalidateCluster(c *clusterNode, b int64, directed bool) {
 // sendSharingWB tells the home that cluster `from` downgraded its dirty
 // copy and memory is current again.
 func (m *Machine) sendSharingWB(from, home int, b int64) {
-	hc := m.clusters[home]
-	m.send(protocol.SharingWB, from, home, func() {
-		// Stale with respect to a re-granted ownership (see wbExpected)?
-		if n := hc.wbExpected[b]; n > 0 {
-			if n == 1 {
-				delete(hc.wbExpected, b)
-			} else {
-				hc.wbExpected[b] = n - 1
-			}
-			return
-		}
-		// Guarded downgrade: ownership may have moved away and back since
-		// this writeback was sent (delay or retry reordering via a third
-		// cluster arms no wbExpected). If the cluster holds the block
-		// dirty again — or a grant back to it is still in flight (gate
-		// busy with the entry dirty-owned by the sender) — the downgrade
-		// this message reports is ancient.
-		if e := hc.dir.Lookup(m.dirKey(b), m.now()); e != nil && e.Dirty() && e.Owner() == from &&
-			!m.clusterHoldsDirty(m.clusters[from], b) && !hc.gate.Busy(b) {
-			e.ClearDirty()
-		}
-		m.checkBlock(b)
-	})
+	i, r := m.recs.take(stSharingWB)
+	r.h, r.c, r.b = m.clusters[home], m.clusters[from], b
+	m.send(protocol.SharingWB, from, home, recEv(stSharingWB, i))
+}
+
+// sharingWBAtHome applies a sharing writeback from cluster r.c at the home.
+func (m *Machine) sharingWBAtHome(r *rec) {
+	hc, b, from := r.h, r.b, r.c.id
+	// Stale with respect to a re-granted ownership (see wbExpected)?
+	if m.staleWriteback(hc, b) {
+		return
+	}
+	// Guarded downgrade: ownership may have moved away and back since this
+	// writeback was sent (delay or retry reordering via a third cluster
+	// arms no wbExpected). If the cluster holds the block dirty again — or
+	// a grant back to it is still in flight (gate busy with the entry
+	// dirty-owned by the sender) — the downgrade this message reports is
+	// ancient.
+	if e := hc.dir.Lookup(m.dirKey(b), m.now()); e != nil && e.Dirty() && e.Owner() == from &&
+		!m.clusterHoldsDirty(r.c, b) && !hc.gate.Busy(b) {
+		e.ClearDirty()
+	}
+	m.checkBlock(b)
 }
 
 // homeLocalRead serves a read whose home is the requester's own cluster.
 func (m *Machine) homeLocalRead(p *proc, b int64) {
 	h := p.cl
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.homeLocalRead(p, b) })
+		h.gate.Wait(b, procEv(stLocalRead, p))
 		return
 	}
 	now := m.now()
@@ -295,20 +316,9 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 	owner := e.Owner()
 	e.ClearDirty()
 	h.gate.Lock(b)
-	m.send(protocol.FwdReadReq, h.id, owner, func() {
-		oc := m.clusters[owner]
-		done := m.busOp(oc, m.t.Fwd)
-		m.at(oc, done, func() {
-			for _, q := range oc.procs {
-				q.h.Downgrade(b)
-			}
-			m.send(protocol.DataReply, owner, h.id, func() {
-				m.fill(p, b, cache.Shared)
-				m.complete(p, m.now()+m.t.Fill)
-				m.reopen(h, b)
-			})
-		})
-	})
+	i, r := m.recs.take(stLocalFwdRead)
+	r.p, r.h, r.c, r.b = p, h, m.clusters[owner], b
+	m.send(protocol.FwdReadReq, h.id, owner, recEv(stLocalFwdRead, i))
 }
 
 // homeLocalWrite serves a write whose home is the requester's own cluster.
@@ -316,7 +326,7 @@ func (m *Machine) homeLocalRead(p *proc, b int64) {
 func (m *Machine) homeLocalWrite(p *proc, b int64) {
 	h := p.cl
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.homeLocalWrite(p, b) })
+		h.gate.Wait(b, procEv(stLocalWrite, p))
 		return
 	}
 	now := m.now()
@@ -355,18 +365,9 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 		e.Reset()
 		h.dir.Release(m.dirKey(b))
 		h.gate.Lock(b)
-		m.send(protocol.FwdWriteReq, h.id, owner, func() {
-			oc := m.clusters[owner]
-			done := m.busOp(oc, m.t.InvalBus)
-			m.at(oc, done, func() {
-				m.applyInval(oc, b, false)
-				m.send(protocol.OwnershipReply, owner, h.id, func() {
-					m.fill(p, b, cache.Dirty)
-					m.complete(p, m.now()+m.t.Fill)
-					m.reopen(h, b)
-				})
-			})
-		})
+		i, r := m.recs.take(stLocalFwdWrite)
+		r.p, r.h, r.c, r.b = p, h, m.clusters[owner], b
+		m.send(protocol.FwdWriteReq, h.id, owner, recEv(stLocalFwdWrite, i))
 		return
 	}
 	// Remote sharers: invalidate them; ownership is granted immediately
@@ -407,40 +408,65 @@ func (m *Machine) sendInvals(h *clusterNode, b int64, targets bitset.Set, ackTo 
 	// The directory injects invalidations at a finite rate; a broadcast
 	// keeps the controller busy and delays requests queued behind it.
 	m.occupyDir(h, m.t.InvalSend*sim.Time(n))
-	// One ack handler serves every target: the pre-bound one when spans are
-	// off, so the hot path allocates no closure per invalidation.
-	ack := ackTo.ackFn
-	if tx != nil && n > 0 {
-		ack = func() {
-			m.ackArrived(ackTo)
-			m.txAck(ackTo.cl, tx)
-		}
-	}
 	targets.ForEach(func(t int) {
-		tc := m.clusters[t]
-		m.sendTx(protocol.Inval, h.id, t, tx, func() {
-			done := m.busOp(tc, m.t.InvalBus)
-			m.at(tc, done, func() {
-				m.applyInval(tc, b, false)
-				m.invalApplied(b)
-				m.sendTx(protocol.AckMsg, t, ackTo.cl.id, tx, ack)
-			})
-		})
+		m.sendInval(protocol.Inval, h, m.clusters[t], b, tx, ackTo, false)
 	})
 }
 
-// remoteReadAtHome runs when a ReadReq arrives at the home cluster.
-func (m *Machine) remoteReadAtHome(p *proc, b int64, tx *txState) {
-	h := m.clusters[m.home(b)]
-	m.txPhase(h, tx, obs.PhReqTravel)
-	m.trace(obs.EvDirLookup, h.id, b, 0)
-	done := m.dirOp(h, m.t.Dir)
-	m.at(h, done, func() { m.serveRemoteRead(p, b, h, tx) })
+// sendInval sends one invalidation (or recall flush) for block b from the
+// home h to cluster tc. The target applies it after a bus transaction and
+// acknowledges: to ackTo, which the ack is credited to, when ackTo is
+// non-nil, and otherwise to the home. recall marks a sparse-directory
+// replacement, whose acks the home's RAC counts.
+func (m *Machine) sendInval(kind protocol.MsgKind, h, tc *clusterNode, b int64, tx *txState, ackTo *proc, recall bool) {
+	i, r := m.recs.take(stInval)
+	r.h, r.c, r.b, r.tx, r.ackTo, r.recall = h, tc, b, tx, ackTo, recall
+	m.sendTx(kind, h.id, tc.id, tx, recEv(stInval, i))
 }
 
-func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState) {
+// invalAtTarget applies invalidation record r at its target once the
+// target's bus has run it, and sends the acknowledgement.
+func (m *Machine) invalAtTarget(i uint32, r *rec) {
+	m.applyInval(r.c, r.b, r.recall)
+	if !r.recall {
+		m.invalApplied(r.b)
+	}
+	to := r.h.id
+	if r.ackTo != nil {
+		to = r.ackTo.cl.id
+	}
+	m.sendTx(protocol.AckMsg, r.c.id, to, r.tx, recEv(stInvalAck, i))
+}
+
+// invalAcked credits invalidation record r's acknowledgement where it
+// lands: the replacement's RAC, the writer, or the home's fan-out span.
+func (m *Machine) invalAcked(r *rec) {
+	switch {
+	case r.recall:
+		m.racAck(r.h, r.b)
+		m.txAck(r.h, r.tx)
+	case r.ackTo != nil:
+		m.ackArrived(r.ackTo)
+		m.txAck(r.ackTo.cl, r.tx)
+	default:
+		m.txAck(r.h, r.tx)
+	}
+}
+
+// remoteReadAtHome runs when p's ReadReq arrives at the home cluster.
+func (m *Machine) remoteReadAtHome(p *proc) {
+	h := m.clusters[m.home(p.block)]
+	m.txPhase(h, p.tx, obs.PhReqTravel)
+	m.trace(obs.EvDirLookup, h.id, p.block, 0)
+	m.at(h, m.dirOp(h, m.t.Dir), procEv(stServeRead, p))
+}
+
+// serveRemoteRead serves p's ReadReq at the home's directory.
+func (m *Machine) serveRemoteRead(p *proc) {
+	b, tx := p.block, p.tx
+	h := m.clusters[m.home(b)]
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.serveRemoteRead(p, b, h, tx) })
+		h.gate.Wait(b, procEv(stServeRead, p))
 		return
 	}
 	now := m.now()
@@ -455,20 +481,9 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 		m.drainDirVictims(h)
 		h.gate.Lock(b)
 		m.txPhase(h, tx, obs.PhDirWait)
-		m.sendTx(protocol.FwdReadReq, h.id, owner, tx, func() {
-			oc := m.clusters[owner]
-			done := m.busOp(oc, m.t.Fwd)
-			m.at(oc, done, func() {
-				for _, q := range oc.procs {
-					q.h.Downgrade(b)
-				}
-				m.txPhase(oc, tx, obs.PhFanout)
-				m.sendReply(protocol.DataReply, oc, p.cl, h, b, tx, func() {
-					m.remoteReadDone(p, b, tx)
-				})
-				m.sendTx(protocol.SharingWB, owner, h.id, tx, func() {})
-			})
-		})
+		i, r := m.recs.take(stFwdRead)
+		r.p, r.h, r.c, r.b, r.tx = p, h, m.clusters[owner], b, tx
+		m.sendTx(protocol.FwdReadReq, h.id, owner, tx, recEv(stFwdRead, i))
 		return
 	}
 	// Clean at home (or owned by the requester after a writeback race).
@@ -485,9 +500,7 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 			// completes the read, which the overtaking write poisoned.
 			p.cl.poisonedReads[b] = true
 			m.txPhase(h, tx, obs.PhDirWait)
-			m.sendTx(protocol.DataReply, h.id, rc, tx, func() {
-				m.remoteReadDone(p, b, tx)
-			})
+			m.sendTx(protocol.DataReply, h.id, rc, tx, procEv(stReadDone, p))
 			return
 		}
 		// The owner itself is asking: its copy was evicted, so a
@@ -503,23 +516,36 @@ func (m *Machine) serveRemoteRead(p *proc, b int64, h *clusterNode, tx *txState)
 	m.handleNBEvictions(h, b, e2.AddSharer(rc), tx)
 	m.drainDirVictims(h)
 	m.txPhase(h, tx, obs.PhDirWait)
-	m.sendTx(protocol.DataReply, h.id, rc, tx, func() {
-		m.remoteReadDone(p, b, tx)
-	})
+	m.sendTx(protocol.DataReply, h.id, rc, tx, procEv(stReadDone, p))
 }
 
-// remoteWriteAtHome runs when a WriteReq/UpgradeReq arrives at the home.
-func (m *Machine) remoteWriteAtHome(p *proc, b int64, upgrade bool, tx *txState) {
+// fwdReadAtOwner runs a three-cluster read at the owner r.c once its bus
+// has downgraded the copies: the data goes to the requester, which
+// reopens the home's gate, and a sharing writeback goes home.
+func (m *Machine) fwdReadAtOwner(i uint32, r *rec) {
+	oc := r.c
+	for _, q := range oc.procs {
+		q.h.Downgrade(r.b)
+	}
+	m.txPhase(oc, r.tx, obs.PhFanout)
+	m.sendReply(protocol.DataReply, oc, i, r)
+	m.sendTx(protocol.SharingWB, oc.id, r.h.id, r.tx, sim.Event{Stage: uint32(stNop)})
+}
+
+// remoteWriteAtHome runs when p's WriteReq/UpgradeReq arrives at the home.
+func (m *Machine) remoteWriteAtHome(p *proc) {
+	h := m.clusters[m.home(p.block)]
+	m.txPhase(h, p.tx, obs.PhReqTravel)
+	m.trace(obs.EvDirLookup, h.id, p.block, 1)
+	m.at(h, m.dirOp(h, m.t.Dir), procEv(stServeWrite, p))
+}
+
+// serveRemoteWrite serves p's WriteReq/UpgradeReq at the home's directory.
+func (m *Machine) serveRemoteWrite(p *proc) {
+	b, tx := p.block, p.tx
 	h := m.clusters[m.home(b)]
-	m.txPhase(h, tx, obs.PhReqTravel)
-	m.trace(obs.EvDirLookup, h.id, b, 1)
-	done := m.dirOp(h, m.t.Dir)
-	m.at(h, done, func() { m.serveRemoteWrite(p, b, h, upgrade, tx) })
-}
-
-func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade bool, tx *txState) {
 	if h.gate.Busy(b) {
-		h.gate.Wait(b, func() { m.serveRemoteWrite(p, b, h, upgrade, tx) })
+		h.gate.Wait(b, procEv(stServeWrite, p))
 		return
 	}
 	now := m.now()
@@ -534,17 +560,9 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 		e.SetDirty(rc)
 		h.gate.Lock(b)
 		m.txPhase(h, tx, obs.PhDirWait)
-		m.sendTx(protocol.FwdWriteReq, h.id, owner, tx, func() {
-			oc := m.clusters[owner]
-			done := m.busOp(oc, m.t.InvalBus)
-			m.at(oc, done, func() {
-				m.applyInval(oc, b, false)
-				m.txPhase(oc, tx, obs.PhFanout)
-				m.sendReply(protocol.OwnershipReply, oc, p.cl, h, b, tx, func() {
-					m.remoteWriteDone(p, b, upgrade, 0, tx)
-				})
-			})
-		})
+		i, r := m.recs.take(stFwdWrite)
+		r.p, r.h, r.c, r.b, r.tx = p, h, m.clusters[owner], b, tx
+		m.sendTx(protocol.FwdWriteReq, h.id, owner, tx, recEv(stFwdWrite, i))
 		return
 	}
 	if e.Dirty() && e.Owner() == rc && !m.clusterHoldsDirty(p.cl, b) {
@@ -574,9 +592,9 @@ func (m *Machine) serveRemoteWrite(p *proc, b int64, h *clusterNode, upgrade boo
 	m.txPhase(h, tx, obs.PhDirWait)
 	// The ownership reply carries the requester's ack count; the acks go
 	// straight to the requester and may overtake it (see ackArrived).
-	m.sendReply(protocol.OwnershipReply, h, p.cl, h, b, tx, func() {
-		m.remoteWriteDone(p, b, upgrade, n, tx)
-	})
+	i, r := m.recs.take(stReply)
+	r.p, r.h, r.b, r.tx, r.n = p, h, b, tx, n
+	m.sendReply(protocol.OwnershipReply, h, i, r)
 	m.sendInvals(h, b, targets, p, tx)
 }
 
@@ -599,30 +617,39 @@ func (m *Machine) clusterHoldsDirty(c *clusterNode, b int64) bool {
 	return false
 }
 
-// sendReply sends a reply that completes an ownership-moving transaction
-// from cluster from to the requester rc, and reopens the home h's gate for
-// b once the reply has landed. With the delivery time known at send time
-// the gate reopens from an event keyed right after the reply, so no
-// request queued behind the gate can observe the block before the
-// requester holds it, and the home never waits on a requester-side
-// closure. Under the fault model a delayed or retried reply's arrival is
-// unknowable when it is sent, so the reply itself reopens the gate.
-func (m *Machine) sendReply(kind protocol.MsgKind, from, rc, h *clusterNode, b int64, tx *txState, arrive func()) {
+// sendReply sends the reply on record r (requester r.p, home r.h, block
+// r.b), which completes an ownership-moving transaction, from cluster
+// from, and reopens the home's gate for the block once the reply has
+// landed. With the delivery time known at send time the gate reopens from
+// an event keyed right after the reply, so no request queued behind the
+// gate can observe the block before the requester holds it, and the home
+// never waits on a requester-side stage. Under the fault model a delayed
+// or retried reply's arrival is unknowable when it is sent, so the reply
+// itself reopens the gate. The stage that reopens the gate releases r.
+func (m *Machine) sendReply(kind protocol.MsgKind, from *clusterNode, i uint32, r *rec) {
+	r.write = kind == protocol.OwnershipReply
 	if m.faultsOn {
-		m.sendTx(kind, from.id, rc.id, tx, func() {
-			arrive()
-			m.reopen(h, b)
-		})
+		m.sendTx(kind, from.id, r.p.cl.id, r.tx, recEv(stReplyReopen, i))
 		return
 	}
-	t := m.sendTx(kind, from.id, rc.id, tx, arrive)
-	m.at(from, t, func() { m.reopen(h, b) })
+	t := m.sendTx(kind, from.id, r.p.cl.id, r.tx, recEv(stReply, i))
+	m.at(from, t, recEv(stReopen, i))
+}
+
+// replyArrived completes the requester's transaction when reply record r
+// lands.
+func (m *Machine) replyArrived(r *rec) {
+	if r.write {
+		m.remoteWriteDone(r.p, r.b, r.p.upgrade, r.n, r.tx)
+		return
+	}
+	m.remoteReadDone(r.p, r.b, r.tx)
 }
 
 // reopen unlocks home h's gate for b, replaying the requests queued behind
 // it, and re-checks the settled block.
 func (m *Machine) reopen(h *clusterNode, b int64) {
-	h.gate.Unlock(b)
+	h.gate.Unlock(b, m.fire)
 	m.checkBlock(b)
 }
 
@@ -650,8 +677,7 @@ func (m *Machine) remoteWriteDone(p *proc, b int64, upgrade bool, n int, tx *txS
 	waiters := c.writeWaiters[b]
 	delete(c.writeWaiters, b)
 	for _, w := range waiters {
-		w := w
-		m.after(c, m.t.Fill, func() { m.accessBlock(w.p, w.write, b) })
+		m.at(c, m.now()+m.t.Fill, procEv(stRetry, w))
 	}
 }
 
@@ -676,19 +702,9 @@ func (m *Machine) handleNBEvictions(h *clusterNode, b int64, ev []core.NodeID, t
 	}
 	m.occupyDir(h, m.t.InvalSend*sim.Time(len(ev)))
 	for _, v := range ev {
-		if v == h.id {
-			continue
+		if v != h.id {
+			m.sendInval(protocol.Inval, h, m.clusters[v], b, tx, nil, false)
 		}
-		vc := m.clusters[v]
-		v := v
-		m.sendTx(protocol.Inval, h.id, v, tx, func() {
-			done := m.busOp(vc, m.t.InvalBus)
-			m.at(vc, done, func() {
-				m.applyInval(vc, b, false)
-				m.invalApplied(b)
-				m.sendTx(protocol.AckMsg, v, h.id, tx, func() { m.txAck(h, tx) })
-			})
-		})
 	}
 }
 
@@ -712,16 +728,21 @@ func (m *Machine) replaceEntry(h *clusterNode, victim *sparse.Victim) {
 	// The directory stores home-local keys; recover the global block.
 	vb, ve := m.keyBlock(victim.Block, h.id), victim.Entry
 	m.recallPending(vb, +1)
-	act := func() { m.sendReplacementInvals(h, vb, ve) }
 	if h.gate.Busy(vb) {
 		// The victim block has a transaction in flight; its state keeps
 		// evolving in ve, so run the replacement when the gate clears.
-		h.gate.Wait(vb, act)
+		i, r := m.recs.take(stRecall)
+		r.h, r.b, r.e = h, vb, ve
+		h.gate.Wait(vb, recEv(stRecall, i))
 		return
 	}
-	act()
+	m.sendReplacementInvals(h, vb, ve)
 }
 
+// sendReplacementInvals recalls every cached copy of the reclaimed entry
+// ve's block vb: a flush to the dirty owner, or invalidations to the
+// sharers. The home's RAC counts the acknowledgements and the block's gate
+// stays locked until they arrive.
 func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry) {
 	if ve.Empty() {
 		m.recallPending(vb, -1)
@@ -737,17 +758,7 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 		m.occupyDir(h, m.t.InvalSend)
 		h.gate.Lock(vb)
 		h.rac.Start(vb, 1)
-		oc := m.clusters[owner]
-		m.sendTx(protocol.Flush, h.id, owner, tx, func() {
-			done := m.busOp(oc, m.t.InvalBus)
-			m.at(oc, done, func() {
-				m.applyInval(oc, vb, true)
-				m.sendTx(protocol.AckMsg, owner, h.id, tx, func() {
-					m.racAck(h, vb)
-					m.txAck(h, tx)
-				})
-			})
-		})
+		m.sendInval(protocol.Flush, h, m.clusters[owner], vb, tx, nil, true)
 		return
 	}
 	targets := ve.Sharers()
@@ -766,17 +777,7 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 	h.gate.Lock(vb)
 	h.rac.Start(vb, n)
 	targets.ForEach(func(t int) {
-		tc := m.clusters[t]
-		m.sendTx(protocol.Inval, h.id, t, tx, func() {
-			done := m.busOp(tc, m.t.InvalBus)
-			m.at(tc, done, func() {
-				m.applyInval(tc, vb, true)
-				m.sendTx(protocol.AckMsg, t, h.id, tx, func() {
-					m.racAck(h, vb)
-					m.txAck(h, tx)
-				})
-			})
-		})
+		m.sendInval(protocol.Inval, h, m.clusters[t], vb, tx, nil, true)
 	})
 }
 

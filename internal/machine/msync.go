@@ -11,6 +11,7 @@ import (
 // the machine's directory scheme, so coarse-vector lock grants wake whole
 // regions that then re-contend.
 func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
+	p.syncAddr = addr // the request stages' operand; a wake's retry arrives here too
 	if retry {
 		m.lockRetries.Inc()
 		m.trace(obs.EvRetry, p.cl.id, addr, 0)
@@ -29,23 +30,37 @@ func (m *Machine) lockAcquire(p *proc, addr int64, retry bool) {
 	// grant (or the wake that triggers a retry, which opens a new round).
 	tx := m.txStart(obs.TxLock, p.cl, addr)
 	m.lockTxSet(p, tx)
-	m.sendTx(protocol.LockReq, p.cl.id, home, tx, func() {
-		hc := m.clusters[home]
-		m.txPhase(hc, tx, obs.PhReqTravel)
-		done := m.dirOp(hc, m.t.Dir)
-		m.at(hc, done, func() {
-			granted, woken := hc.locks.Acquire(addr, p.cl.id, p.id)
-			m.wakeNodes(addr, home, woken)
-			if granted {
-				m.txPhase(hc, tx, obs.PhDirWait)
-				m.sendTx(protocol.LockGrant, home, p.cl.id, tx, func() {
-					m.txPhase(p.cl, tx, obs.PhReplyTravel)
-					m.lockTxEnd(p)
-					m.complete(p, m.now()+m.t.Hit)
-				})
-			}
-		})
-	})
+	m.sendTx(protocol.LockReq, p.cl.id, home, tx, procEv(stLockReq, p))
+}
+
+// lockReqAtHome runs when p's LockReq arrives at the lock's home.
+func (m *Machine) lockReqAtHome(p *proc) {
+	hc := m.clusters[m.home(m.block(p.syncAddr))]
+	m.txPhase(hc, m.lockTxOf(p), obs.PhReqTravel)
+	m.at(hc, m.dirOp(hc, m.t.Dir), procEv(stLockAcquire, p))
+}
+
+// lockAcquireAtHome serves p's LockReq at the lock's home: a grant goes
+// back to p, and otherwise p waits in the lock's waiter entry.
+func (m *Machine) lockAcquireAtHome(p *proc) {
+	addr := p.syncAddr
+	home := m.home(m.block(addr))
+	hc := m.clusters[home]
+	granted, woken := hc.locks.Acquire(addr, p.cl.id, p.id)
+	m.wakeNodes(addr, home, woken)
+	if granted {
+		tx := m.lockTxOf(p)
+		m.txPhase(hc, tx, obs.PhDirWait)
+		m.sendTx(protocol.LockGrant, home, p.cl.id, tx, procEv(stLockGrant, p))
+	}
+}
+
+// lockGranted runs when a LockGrant arrives at p's cluster: p's lock round
+// ends and p proceeds.
+func (m *Machine) lockGranted(p *proc) {
+	m.txPhase(p.cl, m.lockTxOf(p), obs.PhReplyTravel)
+	m.lockTxEnd(p)
+	m.complete(p, m.now()+m.t.Hit)
 }
 
 // lockRelease runs an Unlock reference. The releasing processor proceeds
@@ -59,14 +74,10 @@ func (m *Machine) lockRelease(p *proc, addr int64) {
 		m.complete(p, m.now()+m.t.Bus)
 		return
 	}
-	m.send(protocol.UnlockReq, p.cl.id, home, func() {
-		hc := m.clusters[home]
-		done := m.dirOp(hc, m.t.Dir)
-		m.at(hc, done, func() {
-			g := hc.locks.Release(addr)
-			m.handleGrant(addr, home, g)
-		})
-	})
+	// p moves on at once, so the release travels with its own record.
+	i, r := m.recs.take(stUnlockReq)
+	r.h, r.b = m.clusters[home], addr
+	m.send(protocol.UnlockReq, p.cl.id, home, recEv(stUnlockReq, i))
 	m.complete(p, m.now()+m.t.Hit)
 }
 
@@ -82,11 +93,7 @@ func (m *Machine) handleGrant(addr int64, home int, g protocol.Grant) {
 		}
 		tx := m.lockTxOf(q)
 		m.txPhase(m.clusters[home], tx, obs.PhDirWait)
-		m.sendTx(protocol.LockGrant, home, g.Node, tx, func() {
-			m.txPhase(q.cl, tx, obs.PhReplyTravel)
-			m.lockTxEnd(q)
-			m.complete(q, m.now()+m.t.Hit)
-		})
+		m.sendTx(protocol.LockGrant, home, g.Node, tx, procEv(stLockGrant, q))
 		return
 	}
 	m.wakeNodes(addr, home, g.Wake)
@@ -108,7 +115,9 @@ func (m *Machine) wakeNodes(addr int64, home int, nodes []core.NodeID) {
 			m.retryWaiters(addr, ws)
 			continue
 		}
-		m.send(protocol.LockWake, home, w, func() { m.retryWaiters(addr, ws) })
+		i, r := m.recs.take(stLockWake)
+		r.b, r.ws = addr, ws
+		m.send(protocol.LockWake, home, w, recEv(stLockWake, i))
 	}
 }
 
@@ -165,7 +174,9 @@ func (m *Machine) treeArrive(c int, addr int64) {
 		return
 	}
 	parent := treeParent(c)
-	m.send(protocol.BarrierArrive, c, parent, func() { m.treeArrive(parent, addr) })
+	i, r := m.recs.take(stTreeArrive)
+	r.h, r.b = m.clusters[parent], addr
+	m.send(protocol.BarrierArrive, c, parent, recEv(stTreeArrive, i))
 }
 
 // treeRelease fans the barrier release down cluster c's subtree.
@@ -176,7 +187,9 @@ func (m *Machine) treeRelease(c int, addr int64) {
 	}
 	delete(cl.treeWaiting, addr)
 	m.treeChildren(c, func(child int) {
-		m.send(protocol.BarrierRelease, c, child, func() { m.treeRelease(child, addr) })
+		i, r := m.recs.take(stTreeRelease)
+		r.h, r.b = m.clusters[child], addr
+		m.send(protocol.BarrierRelease, c, child, recEv(stTreeRelease, i))
 	})
 }
 
@@ -192,24 +205,29 @@ func (m *Machine) barrierArrive(p *proc, addr int64) {
 	m.centralBarrierArrive(p, addr)
 }
 
-// centralBarrierArrive implements the default single-home barrier.
+// centralBarrierArrive implements the default single-home barrier: p's
+// arrival travels to the barrier's home (p waits, so the address stays in
+// p.syncAddr).
 func (m *Machine) centralBarrierArrive(p *proc, addr int64) {
 	home := m.home(m.block(addr))
-	deliver := func() {
-		for _, qid := range m.barriers.Arrive(addr, p.id) {
-			q := m.procs[qid]
-			if q.cl.id == home {
-				m.complete(q, m.now()+m.t.Hit)
-				continue
-			}
-			m.send(protocol.BarrierRelease, home, q.cl.id, func() {
-				m.complete(q, m.now()+m.t.Hit)
-			})
-		}
-	}
 	if home == p.cl.id {
-		deliver()
+		m.centralBarrierAtHome(p)
 		return
 	}
-	m.send(protocol.BarrierArrive, p.cl.id, home, deliver)
+	m.send(protocol.BarrierArrive, p.cl.id, home, procEv(stBarrierReq, p))
+}
+
+// centralBarrierAtHome records p's arrival at the barrier's home; the
+// last arrival releases every participant.
+func (m *Machine) centralBarrierAtHome(p *proc) {
+	addr := p.syncAddr
+	home := m.home(m.block(addr))
+	for _, qid := range m.barriers.Arrive(addr, p.id) {
+		q := m.procs[qid]
+		if q.cl.id == home {
+			m.complete(q, m.now()+m.t.Hit)
+			continue
+		}
+		m.send(protocol.BarrierRelease, home, q.cl.id, procEv(stBarrierGo, q))
+	}
 }

@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dircoh/internal/cache"
 )
@@ -18,68 +20,95 @@ import (
 //  3. Every remote cluster holding a copy is covered by the home
 //     directory entry's candidate sharer set (the superset property that
 //     makes invalidation-based coherence correct).
+//
+// Blocks are checked in ascending order, so a machine with several
+// violations reports the lowest block's, the same one on every call.
 func (m *Machine) CheckCoherence() error {
-	type holder struct {
-		cluster int
-		state   cache.State
-	}
-	blocks := make(map[int64][]holder)
+	var hs []holder
 	for _, p := range m.procs {
 		cl := p.cl.id
 		p.h.ForEach(func(b int64, st cache.State) {
-			blocks[b] = append(blocks[b], holder{cluster: cl, state: st})
+			hs = append(hs, holder{block: b, cluster: cl, state: st})
 		})
 	}
-	for b, hs := range blocks {
-		dirty := 0
-		var dirtyCluster int
+	// A block's holders sort by cluster: which of one cluster's caches
+	// comes first changes no message.
+	slices.SortFunc(hs, func(a, b holder) int {
+		if c := cmp.Compare(a.block, b.block); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.cluster, b.cluster)
+	})
+	for len(hs) > 0 {
+		n := 1
+		for n < len(hs) && hs[n].block == hs[0].block {
+			n++
+		}
+		if err := m.checkHolders(hs[0].block, hs[:n]); err != nil {
+			return err
+		}
+		hs = hs[n:]
+	}
+	return nil
+}
+
+// holder is one cache's copy of a block.
+type holder struct {
+	block   int64
+	cluster int
+	state   cache.State
+}
+
+// checkHolders checks block b's invariants over its holders hs.
+func (m *Machine) checkHolders(b int64, hs []holder) error {
+	dirty := 0
+	var dirtyCluster int
+	for _, h := range hs {
+		if h.state == cache.Dirty {
+			dirty++
+			dirtyCluster = h.cluster
+		}
+	}
+	if dirty > 1 {
+		return fmt.Errorf("block %d dirty in %d caches", b, dirty)
+	}
+	if dirty == 1 {
 		for _, h := range hs {
-			if h.state == cache.Dirty {
-				dirty++
-				dirtyCluster = h.cluster
+			if h.state != cache.Dirty {
+				return fmt.Errorf("block %d dirty in cluster %d but also cached in cluster %d", b, dirtyCluster, h.cluster)
 			}
 		}
-		if dirty > 1 {
-			return fmt.Errorf("block %d dirty in %d caches", b, dirty)
+	}
+	home := m.home(b)
+	needEntry := false
+	for _, h := range hs {
+		if h.cluster != home {
+			needEntry = true
 		}
-		if dirty == 1 {
-			for _, h := range hs {
-				if h.state != cache.Dirty {
-					return fmt.Errorf("block %d dirty in cluster %d but also cached in cluster %d", b, dirtyCluster, h.cluster)
-				}
-			}
+	}
+	if !needEntry {
+		return nil // blocks cached only at home need no directory entry
+	}
+	// Peek, not Lookup: the validator must leave recency state and the
+	// dir.* counters exactly as the run left them.
+	e := m.clusters[home].dir.Peek(m.dirKey(b))
+	if e == nil {
+		return fmt.Errorf("block %d cached remotely but home %d has no directory entry", b, home)
+	}
+	for _, h := range hs {
+		if h.cluster == home {
+			continue
 		}
-		home := m.home(b)
-		needEntry := false
-		for _, h := range hs {
-			if h.cluster != home {
-				needEntry = true
+		if h.state == cache.Dirty {
+			if !e.Dirty() || e.Owner() != h.cluster {
+				return fmt.Errorf("block %d dirty in cluster %d but directory says dirty=%v owner=%d",
+					b, h.cluster, e.Dirty(), e.Owner())
 			}
+			continue
 		}
-		if !needEntry {
-			continue // blocks cached only at home need no directory entry
-		}
-		// Peek, not Lookup: the validator must leave recency state and the
-		// dir.* counters exactly as the run left them.
-		e := m.clusters[home].dir.Peek(m.dirKey(b))
-		if e == nil {
-			return fmt.Errorf("block %d cached remotely but home %d has no directory entry", b, home)
-		}
-		for _, h := range hs {
-			if h.cluster == home {
-				continue
-			}
-			if h.state == cache.Dirty {
-				if !e.Dirty() || e.Owner() != h.cluster {
-					return fmt.Errorf("block %d dirty in cluster %d but directory says dirty=%v owner=%d",
-						b, h.cluster, e.Dirty(), e.Owner())
-				}
-				continue
-			}
-			if !e.IsSharer(h.cluster) {
-				return fmt.Errorf("block %d cached in cluster %d but not in directory sharer set %v",
-					b, h.cluster, e.Sharers())
-			}
+		if !e.IsSharer(h.cluster) {
+			return fmt.Errorf("block %d cached in cluster %d but not in directory sharer set %v",
+				b, h.cluster, e.Sharers())
 		}
 	}
 	return nil

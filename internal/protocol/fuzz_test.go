@@ -3,6 +3,8 @@ package protocol
 import (
 	"strings"
 	"testing"
+
+	"dircoh/internal/sim"
 )
 
 // TestGateAnomalyCallback verifies the Anomaly hook fires with the
@@ -14,8 +16,8 @@ func TestGateAnomalyCallback(t *testing.T) {
 		trip         func(g *Gate)
 	}{
 		{"double lock", "Gate.Lock", func(g *Gate) { g.Lock(3); g.Lock(3) }},
-		{"wait free", "Gate.Wait", func(g *Gate) { g.Wait(3, func() {}) }},
-		{"unlock free", "Gate.Unlock", func(g *Gate) { g.Unlock(3) }},
+		{"wait free", "Gate.Wait", func(g *Gate) { g.Wait(3, sim.Event{}) }},
+		{"unlock free", "Gate.Unlock", func(g *Gate) { g.Unlock(3, func(sim.Event) {}) }},
 	}
 	for _, tc := range cases {
 		g := NewGate()
@@ -68,7 +70,7 @@ func TestRACAnomalyCallback(t *testing.T) {
 // FuzzGate drives byte-encoded legal op sequences — locks, waiters that
 // may re-lock on replay, unlocks — over a few blocks, against a direct
 // model of the gate's contract: waiters replay FIFO until one re-locks;
-// state is garbage-collected once idle.
+// an idle block's state is dropped from the table.
 func FuzzGate(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0x01, 0x42, 0x02})
 	f.Add([]byte{0x10, 0x51, 0x92, 0xd1, 0x12})
@@ -93,12 +95,11 @@ func FuzzGate(f *testing.F) {
 				}
 			}
 		}
-		nextID := 0
+		var ws waiters
 		addWaiter := func(b int, relock bool) {
-			id := nextID
-			nextID++
+			id := len(ws)
 			queues[b] = append(queues[b], waiter{id: id, block: b, relock: relock})
-			g.Wait(int64(b), func() {
+			ws.wait(g, int64(b), func() {
 				ran = append(ran, id)
 				if relock {
 					g.Lock(int64(b))
@@ -120,7 +121,7 @@ func FuzzGate(f *testing.F) {
 				}
 			default: // unlock if held
 				if busy[b] {
-					g.Unlock(int64(b))
+					g.Unlock(int64(b), ws.replay)
 					modelUnlock(b)
 				}
 			}
@@ -136,7 +137,7 @@ func FuzzGate(f *testing.F) {
 		// Drain: every queued waiter must eventually run, in FIFO order.
 		for b := 0; b < blocks; b++ {
 			for busy[b] {
-				g.Unlock(int64(b))
+				g.Unlock(int64(b), ws.replay)
 				modelUnlock(b)
 			}
 		}

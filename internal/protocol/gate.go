@@ -4,16 +4,18 @@ import (
 	"fmt"
 
 	"dircoh/internal/obs"
+	"dircoh/internal/sim"
 )
 
 // Gate serializes conflicting transactions on the same memory block at its
 // home. A transaction that moves ownership (or a sparse-directory
 // replacement with outstanding invalidations) locks the block; requests
-// arriving meanwhile are queued and replayed, in order, when the gate
-// unlocks. This models DASH's pending/RAC-based serialization without its
-// NAK-and-retry traffic.
+// arriving meanwhile are queued as events and replayed, in order, when the
+// gate unlocks. This models DASH's pending/RAC-based serialization without
+// its NAK-and-retry traffic.
 type Gate struct {
-	m map[int64]*gateState
+	m    map[int64]*gateState
+	free []*gateState // idle per-block states, reused by the next Lock
 
 	// Waits, when non-nil, counts transactions queued behind a busy
 	// block ("gate.waits" in the machine registry).
@@ -28,9 +30,12 @@ type Gate struct {
 	Anomaly func(op string, block int64)
 }
 
+// gateState is one block's lock and queue; q[head:] are the waiters not
+// yet replayed.
 type gateState struct {
 	busy bool
-	q    []func()
+	q    []sim.Event
+	head int
 }
 
 // NewGate returns an empty gate table.
@@ -47,7 +52,12 @@ func (g *Gate) Busy(block int64) bool {
 func (g *Gate) Lock(block int64) {
 	st := g.m[block]
 	if st == nil {
-		st = &gateState{}
+		if n := len(g.free); n > 0 {
+			st = g.free[n-1]
+			g.free = g.free[:n-1]
+		} else {
+			st = &gateState{}
+		}
 		g.m[block] = st
 	}
 	if st.busy {
@@ -56,8 +66,8 @@ func (g *Gate) Lock(block int64) {
 	st.busy = true
 }
 
-// Wait enqueues fn to be replayed when block unlocks.
-func (g *Gate) Wait(block int64, fn func()) {
+// Wait enqueues ev to be replayed when block unlocks.
+func (g *Gate) Wait(block int64, ev sim.Event) {
 	st := g.m[block]
 	if st == nil || !st.busy {
 		g.anomaly("Gate.Wait on non-busy block", block)
@@ -65,24 +75,27 @@ func (g *Gate) Wait(block int64, fn func()) {
 	if g.Waits != nil {
 		g.Waits.Inc()
 	}
-	st.q = append(st.q, fn)
+	st.q = append(st.q, ev)
 }
 
-// Unlock clears the busy state and replays queued transactions in order
-// until one of them re-locks the block (or the queue drains).
-func (g *Gate) Unlock(block int64) {
+// Unlock clears the busy state and hands the queued events to replay in
+// order until one of them re-locks the block (or the queue drains). An
+// idle block's state is kept for reuse.
+func (g *Gate) Unlock(block int64, replay func(sim.Event)) {
 	st := g.m[block]
 	if st == nil || !st.busy {
 		g.anomaly("Gate.Unlock on non-busy block", block)
 	}
 	st.busy = false
-	for !st.busy && len(st.q) > 0 {
-		fn := st.q[0]
-		st.q = st.q[1:]
-		fn()
+	for !st.busy && st.head < len(st.q) {
+		ev := st.q[st.head]
+		st.head++
+		replay(ev)
 	}
-	if !st.busy && len(st.q) == 0 {
+	if !st.busy && st.head == len(st.q) {
 		delete(g.m, block)
+		st.q, st.head = st.q[:0], 0
+		g.free = append(g.free, st)
 	}
 }
 
@@ -97,7 +110,7 @@ func (g *Gate) anomaly(op string, block int64) {
 // Pending returns the number of queued transactions for block.
 func (g *Gate) Pending(block int64) int {
 	if st, ok := g.m[block]; ok {
-		return len(st.q)
+		return len(st.q) - st.head
 	}
 	return 0
 }

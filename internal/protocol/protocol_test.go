@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dircoh/internal/core"
+	"dircoh/internal/sim"
 	"dircoh/internal/stats"
 )
 
@@ -40,6 +41,17 @@ func TestMsgKindClasses(t *testing.T) {
 	}
 }
 
+// waiters queues test callbacks on a gate as events whose Arg indexes
+// the callback; replay runs them.
+type waiters []func()
+
+func (ws *waiters) wait(g *Gate, block int64, fn func()) {
+	*ws = append(*ws, fn)
+	g.Wait(block, sim.Event{Arg: uint32(len(*ws) - 1)})
+}
+
+func (ws *waiters) replay(ev sim.Event) { (*ws)[ev.Arg]() }
+
 func TestGateSerialization(t *testing.T) {
 	g := NewGate()
 	if g.Busy(1) {
@@ -50,13 +62,14 @@ func TestGateSerialization(t *testing.T) {
 		t.Fatal("gate should be busy")
 	}
 	var order []int
-	g.Wait(1, func() { order = append(order, 1) })
-	g.Wait(1, func() { order = append(order, 2); g.Lock(1) }) // re-locks
-	g.Wait(1, func() { order = append(order, 3) })
+	var ws waiters
+	ws.wait(g, 1, func() { order = append(order, 1) })
+	ws.wait(g, 1, func() { order = append(order, 2); g.Lock(1) }) // re-locks
+	ws.wait(g, 1, func() { order = append(order, 3) })
 	if g.Pending(1) != 3 {
 		t.Fatalf("Pending = %d, want 3", g.Pending(1))
 	}
-	g.Unlock(1)
+	g.Unlock(1, ws.replay)
 	// 1 and 2 ran; 2 re-locked so 3 is still queued.
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v", order)
@@ -64,12 +77,36 @@ func TestGateSerialization(t *testing.T) {
 	if !g.Busy(1) || g.Pending(1) != 1 {
 		t.Fatal("gate state wrong after partial drain")
 	}
-	g.Unlock(1)
+	g.Unlock(1, ws.replay)
 	if len(order) != 3 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
 	if g.Busy(1) {
 		t.Fatal("gate should be free")
+	}
+}
+
+// TestGateReusesState: once warm, locking, queueing on and draining fresh
+// blocks allocates nothing — an idle block's state and queue are reused.
+func TestGateReusesState(t *testing.T) {
+	g := NewGate()
+	replay := func(sim.Event) {}
+	block := int64(0)
+	cycle := func() {
+		block++
+		g.Lock(block)
+		g.Wait(block, sim.Event{Arg: 1})
+		g.Wait(block, sim.Event{Arg: 2})
+		g.Unlock(block, replay)
+	}
+	for i := 0; i < 100; i++ {
+		cycle() // warm the map and the queues
+	}
+	if a := testing.AllocsPerRun(1000, cycle); a != 0 {
+		t.Fatalf("a lock/wait/unlock cycle on a fresh block allocates %.1f times", a)
+	}
+	if g.Busy(block) || g.Pending(block) != 0 {
+		t.Fatal("drained block still busy or queued")
 	}
 }
 
@@ -90,7 +127,7 @@ func TestGatePanics(t *testing.T) {
 				t.Error("Wait on free block should panic")
 			}
 		}()
-		g.Wait(6, func() {})
+		g.Wait(6, sim.Event{})
 	}()
 	func() {
 		defer func() {
@@ -98,7 +135,7 @@ func TestGatePanics(t *testing.T) {
 				t.Error("Unlock on free block should panic")
 			}
 		}()
-		g.Unlock(7)
+		g.Unlock(7, func(sim.Event) {})
 	}()
 }
 
@@ -294,6 +331,7 @@ func TestQuickGateReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		g := NewGate()
 		const block = int64(7)
+		var ws waiters
 		var ran []int
 		next := 0
 		enqueued := 0
@@ -309,17 +347,17 @@ func TestQuickGateReference(t *testing.T) {
 				if locked {
 					id := enqueued
 					enqueued++
-					g.Wait(block, func() { ran = append(ran, id) })
+					ws.wait(g, block, func() { ran = append(ran, id) })
 				}
 			case 2: // unlock and drain
 				if locked {
 					locked = false
-					g.Unlock(block)
+					g.Unlock(block, ws.replay)
 				}
 			}
 		}
 		if locked {
-			g.Unlock(block)
+			g.Unlock(block, ws.replay)
 		}
 		if len(ran) != enqueued {
 			t.Fatalf("trial %d: %d waiters ran, %d enqueued", trial, len(ran), enqueued)

@@ -5,30 +5,35 @@ package sim
 // a slot, small enough to scan cheaply when jumping idle gaps.
 const DefaultWheelSlots = 256
 
-// witem is one scheduled event. Events are totally ordered by (at, key):
-// key is an insertion sequence for At and a caller-chosen rank for AtKey,
-// so equal-time events fire in a deterministic, insertion-order-independent
-// sequence when keys are assigned deterministically.
+// witem is one bucketed event. A slot only ever holds events of one
+// timestamp (see Wheel), so its heap orders by key alone and the item
+// carries no time.
 type witem struct {
-	at  Time
 	key uint64
-	fn  Event
+	ev  Event
 }
 
-func witemLess(a, b witem) bool {
+// oitem is one event waiting in the overflow heap, ordered by (at, key).
+type oitem struct {
+	at  Time
+	key uint64
+	ev  Event
+}
+
+func oitemLess(a, b oitem) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.key < b.key
 }
 
-// wpush adds it to the min-heap h ordered by witemLess.
+// wpush adds it to the key-ordered min-heap h.
 func wpush(h []witem, it witem) []witem {
 	h = append(h, it)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !witemLess(h[i], h[p]) {
+		if h[i].key >= h[p].key {
 			break
 		}
 		h[i], h[p] = h[p], h[i]
@@ -37,20 +42,58 @@ func wpush(h []witem, it witem) []witem {
 	return h
 }
 
-// wpop removes and returns the minimum of the min-heap h.
+// wpop removes and returns the minimum of the key-ordered min-heap h.
 func wpop(h []witem) (witem, []witem) {
 	top := h[0]
 	n := len(h) - 1
 	h[0] = h[n]
-	h[n] = witem{} // drop the callback reference
 	h = h[:n]
 	i := 0
 	for {
 		l, r, s := 2*i+1, 2*i+2, i
-		if l < n && witemLess(h[l], h[s]) {
+		if l < n && h[l].key < h[s].key {
 			s = l
 		}
-		if r < n && witemLess(h[r], h[s]) {
+		if r < n && h[r].key < h[s].key {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		h[i], h[s] = h[s], h[i]
+		i = s
+	}
+	return top, h
+}
+
+// opush adds it to the (at, key)-ordered overflow min-heap h.
+func opush(h []oitem, it oitem) []oitem {
+	h = append(h, it)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !oitemLess(h[i], h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+// opop removes and returns the minimum of the overflow min-heap h.
+func opop(h []oitem) (oitem, []oitem) {
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	i := 0
+	for {
+		l, r, s := 2*i+1, 2*i+2, i
+		if l < n && oitemLess(h[l], h[s]) {
+			s = l
+		}
+		if r < n && oitemLess(h[r], h[s]) {
 			s = r
 		}
 		if s == i {
@@ -68,17 +111,20 @@ func wpop(h []witem) (witem, []witem) {
 // O(log k) in the events sharing a timestamp, with no global heap, and
 // idle gaps are jumped by scanning at most one wheel revolution.
 //
-// A Wheel fires equal-time events in insertion order when scheduled with
-// At. AtKey additionally lets the caller impose an explicit total order on
-// equal-time events — the hook the machine core uses to order them by
+// A bucketed event lies less than one revolution ahead of now, so a slot
+// holds events of exactly one timestamp, and every event at now is in
+// now's slot: advancing time migrates each overflow event that comes
+// inside the horizon. Draining the current slot therefore needs no scan.
+//
+// Equal-time events fire in ascending key order no matter the order they
+// were inserted in — the hook the machine core uses to order them by
 // scheduling cluster and per-cluster sequence.
 type Wheel struct {
-	slots  [][]witem // per-cycle buckets, each a (at,key) min-heap
+	slots  [][]witem // per-cycle buckets, each a key-ordered min-heap
 	mask   Time
 	now    Time
-	auto   uint64 // At's insertion sequence (shared key space with AtKey)
-	inSlot int    // events currently bucketed
-	over   []witem
+	inSlot int // events currently bucketed
+	over   []oitem
 	fired  uint64
 }
 
@@ -103,68 +149,46 @@ func (w *Wheel) Fired() uint64 { return w.fired }
 // Pending returns the number of scheduled-but-unfired events.
 func (w *Wheel) Pending() int { return w.inSlot + len(w.over) }
 
-// At schedules fn at absolute time t. Equal-time events scheduled with At
-// fire in insertion order. Scheduling in the past panics.
-func (w *Wheel) At(t Time, fn Event) {
-	w.auto++
-	w.insert(witem{at: t, key: w.auto, fn: fn})
-}
-
-// AtKey schedules fn at absolute time t with an explicit ordering key:
-// equal-time events fire in ascending key order no matter the order they
-// were inserted in. Callers must keep keys unique per timestamp (the
-// machine core derives them from the scheduling cluster and its event
-// sequence). Keys share one space with At's insertion sequence, so a
-// caller should use either At or AtKey on a wheel, not both.
-func (w *Wheel) AtKey(t Time, key uint64, fn Event) {
-	w.insert(witem{at: t, key: key, fn: fn})
-}
-
-// After schedules fn to run delay cycles from now. A delay that would
-// overflow Time panics: wrapping would silently schedule in the past.
-func (w *Wheel) After(delay Time, fn Event) {
-	t := w.now + delay
+// AtKey schedules ev at absolute time t with an ordering key: equal-time
+// events fire in ascending key order no matter the order they were
+// inserted in. Callers must keep keys unique per timestamp (the machine
+// core derives them from the scheduling cluster and its event sequence).
+// Scheduling in the past panics.
+func (w *Wheel) AtKey(t Time, key uint64, ev Event) {
 	if t < w.now {
-		panic("sim: After overflows sim.Time")
-	}
-	w.At(t, fn)
-}
-
-func (w *Wheel) insert(it witem) {
-	if it.at < w.now {
 		panic("sim: scheduling event in the past")
 	}
-	if it.at-w.now >= Time(len(w.slots)) {
-		w.over = wpush(w.over, it)
+	if t-w.now >= Time(len(w.slots)) {
+		w.over = opush(w.over, oitem{at: t, key: key, ev: ev})
 		return
 	}
-	s := it.at & w.mask
-	w.slots[s] = wpush(w.slots[s], it)
+	s := t & w.mask
+	w.slots[s] = wpush(w.slots[s], witem{key: key, ev: ev})
 	w.inSlot++
 }
 
-// migrate moves overflow events that have come inside the horizon into
-// their slots.
-func (w *Wheel) migrate() {
+// advance moves time to t and migrates the overflow events that come
+// inside the horizon into their slots.
+func (w *Wheel) advance(t Time) {
+	w.now = t
 	horizon := Time(len(w.slots))
-	for len(w.over) > 0 && w.over[0].at-w.now < horizon {
-		var it witem
-		it, w.over = wpop(w.over)
+	for len(w.over) > 0 && w.over[0].at-t < horizon {
+		var it oitem
+		it, w.over = opop(w.over)
 		s := it.at & w.mask
-		w.slots[s] = wpush(w.slots[s], it)
+		w.slots[s] = wpush(w.slots[s], witem{key: it.key, ev: it.ev})
 		w.inSlot++
 	}
 }
 
 // NextTime returns the earliest pending event time.
 func (w *Wheel) NextTime() (Time, bool) {
-	w.migrate()
 	if w.inSlot > 0 {
 		// Every bucketed event is within one revolution of now, so the
 		// scan terminates at the first non-empty slot.
 		for d := Time(0); d < Time(len(w.slots)); d++ {
-			if s := w.slots[(w.now+d)&w.mask]; len(s) > 0 {
-				return s[0].at, true
+			if len(w.slots[(w.now+d)&w.mask]) > 0 {
+				return w.now + d, true
 			}
 		}
 	}
@@ -174,52 +198,31 @@ func (w *Wheel) NextTime() (Time, bool) {
 	return 0, false
 }
 
-// Step fires the next event, advancing time to it. It reports whether an
-// event was fired.
-func (w *Wheel) Step() bool {
-	t, ok := w.NextTime()
-	if !ok {
-		return false
-	}
-	w.fire(t)
-	return true
-}
-
-// fire advances to t and runs the minimum-key event scheduled there.
-func (w *Wheel) fire(t Time) {
-	if t > w.now {
-		w.now = t
-		// Advancing may bring overflow events to exactly t with smaller
-		// keys than the bucketed ones; merge them before popping.
-		w.migrate()
-	}
-	s := t & w.mask
-	var it witem
-	it, w.slots[s] = wpop(w.slots[s])
-	w.inSlot--
-	w.fired++
-	it.fn()
-}
-
-// Run fires events until none remain and returns the final time.
-func (w *Wheel) Run() Time {
-	for w.Step() {
-	}
-	return w.now
-}
-
-// RunUntil fires events with timestamps <= deadline (events an in-flight
-// callback schedules at or before the deadline are also fired). It returns
-// true if the queue drained, false if the deadline stopped it.
-func (w *Wheel) RunUntil(deadline Time) bool {
+// RunUntil fires events with timestamps <= deadline, in (time, key)
+// order, handing each to fire; events fire schedules at or before the
+// deadline fire too. It drains the current slot without a scan and looks
+// for the next occupied slot only once the current one is empty. It
+// returns true if the queue drained, false if the deadline stopped it.
+func (w *Wheel) RunUntil(deadline Time, fire func(Event)) bool {
 	for {
-		t, ok := w.NextTime()
-		if !ok {
-			return true
-		}
-		if t > deadline {
+		s := w.now & w.mask
+		if len(w.slots[s]) == 0 {
+			t, ok := w.NextTime()
+			if !ok {
+				return true
+			}
+			if t > deadline {
+				return false
+			}
+			w.advance(t)
+			s = t & w.mask
+		} else if w.now > deadline {
 			return false
 		}
-		w.fire(t)
+		var it witem
+		it, w.slots[s] = wpop(w.slots[s])
+		w.inSlot--
+		w.fired++
+		fire(it.ev)
 	}
 }

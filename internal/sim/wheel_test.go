@@ -8,9 +8,46 @@ import (
 	"testing"
 )
 
+// harness drives a wheel with test callbacks: each scheduled event's Arg
+// indexes the callback it runs, and keys are assigned in scheduling order
+// unless a test picks them.
+type harness struct {
+	w   *Wheel
+	fns []func()
+	seq uint64
+}
+
+func newHarness(slots int) *harness { return &harness{w: NewWheel(slots)} }
+
+// atKey schedules fn at t with an explicit key.
+func (h *harness) atKey(t Time, key uint64, fn func()) {
+	h.fns = append(h.fns, fn)
+	h.w.AtKey(t, key, Event{Stage: 1, Arg: uint32(len(h.fns) - 1)})
+}
+
+// at schedules fn at t with the next scheduling-order key.
+func (h *harness) at(t Time, fn func()) {
+	h.seq++
+	h.atKey(t, h.seq, fn)
+}
+
+// after schedules fn d cycles from now with the next scheduling-order key.
+func (h *harness) after(d Time, fn func()) { h.at(h.w.Now()+d, fn) }
+
+func (h *harness) fire(ev Event) { h.fns[ev.Arg]() }
+
+// runUntil fires events up to deadline.
+func (h *harness) runUntil(deadline Time) bool { return h.w.RunUntil(deadline, h.fire) }
+
+// run fires every event and returns the final time.
+func (h *harness) run() Time {
+	h.runUntil(math.MaxUint64)
+	return h.w.Now()
+}
+
 // refEngine is the reference the wheel is checked against: the simplest
 // correct scheduler, which keeps every pending event in one slice and fires
-// the minimum by (time, insertion order).
+// the minimum by (time, key).
 type refEngine struct {
 	now Time
 	seq uint64
@@ -19,15 +56,15 @@ type refEngine struct {
 
 type refEvent struct {
 	at  Time
-	seq uint64
-	fn  Event
+	key uint64
+	fn  func()
 }
 
 func (e *refEngine) Now() Time { return e.now }
 
-func (e *refEngine) After(d Time, fn Event) {
+func (e *refEngine) After(d Time, fn func()) {
 	e.seq++
-	e.evs = append(e.evs, refEvent{at: e.now + d, seq: e.seq, fn: fn})
+	e.evs = append(e.evs, refEvent{at: e.now + d, key: e.seq, fn: fn})
 }
 
 func (e *refEngine) Run() Time {
@@ -36,7 +73,7 @@ func (e *refEngine) Run() Time {
 			if e.evs[i].at != e.evs[j].at {
 				return e.evs[i].at < e.evs[j].at
 			}
-			return e.evs[i].seq < e.evs[j].seq
+			return e.evs[i].key < e.evs[j].key
 		})
 		ev := e.evs[0]
 		e.evs = e.evs[1:]
@@ -46,17 +83,24 @@ func (e *refEngine) Run() Time {
 	return e.now
 }
 
-// scheduler is the slice of the wheel's API the cross-check drives.
+// scheduler is the slice of API the cross-check drives.
 type scheduler interface {
 	Now() Time
-	After(Time, Event)
+	After(Time, func())
 	Run() Time
 }
+
+// wheelScheduler adapts the harness to scheduler.
+type wheelScheduler struct{ *harness }
+
+func (s wheelScheduler) Now() Time               { return s.w.Now() }
+func (s wheelScheduler) After(d Time, fn func()) { s.after(d, fn) }
+func (s wheelScheduler) Run() Time               { return s.run() }
 
 // TestWheelMatchesEngine cross-checks the wheel against the reference
 // engine on a randomized schedule, including events that schedule further
 // events: both must fire the same callbacks in the same order at the same
-// times.
+// times. Keys follow scheduling order, and many events share a time.
 func TestWheelMatchesEngine(t *testing.T) {
 	type firing struct {
 		id int
@@ -89,7 +133,7 @@ func TestWheelMatchesEngine(t *testing.T) {
 		return order
 	}
 	ref := run(&refEngine{})
-	whl := run(NewWheel(64))
+	whl := run(wheelScheduler{newHarness(64)})
 	if len(ref) == 0 || !reflect.DeepEqual(ref, whl) {
 		t.Fatalf("firing order diverged:\nreference: %v\nwheel:     %v", ref, whl)
 	}
@@ -100,21 +144,21 @@ func TestWheelMatchesEngine(t *testing.T) {
 // heap (scheduled beyond the horizon), one bucketed directly later. The
 // smaller key must fire first even though it was inserted second.
 func TestWheelTieBreakAcrossBuckets(t *testing.T) {
-	w := NewWheel(8)
+	h := newHarness(8)
 	var order []string
-	w.AtKey(9, 2, func() { order = append(order, "overflow") }) // 9-0 >= 8: overflow heap
-	w.AtKey(5, 1, func() {
+	h.atKey(9, 2, func() { order = append(order, "overflow") }) // 9-0 >= 8: overflow heap
+	h.atKey(5, 1, func() {
 		// now = 5: t=9 is inside the horizon, bucketed directly with a
 		// smaller key than the overflow event already bound for t=9.
-		w.AtKey(9, 1, func() { order = append(order, "direct") })
+		h.atKey(9, 1, func() { order = append(order, "direct") })
 	})
-	w.Run()
+	h.run()
 	want := []string{"direct", "overflow"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("tie-break order = %v, want %v", order, want)
 	}
-	if w.Now() != 9 {
-		t.Fatalf("final time = %d, want 9", w.Now())
+	if h.w.Now() != 9 {
+		t.Fatalf("final time = %d, want 9", h.w.Now())
 	}
 }
 
@@ -129,13 +173,13 @@ func TestWheelKeyOrderInsertionIndependent(t *testing.T) {
 	evs := []ev{{20, 7}, {20, 3}, {5, 1}, {300, 2}, {300, 9}, {20, 5}, {5, 4}}
 	var first []ev
 	for perm := 0; perm < 3; perm++ {
-		w := NewWheel(16)
+		h := newHarness(16)
 		var got []ev
 		for i := range evs {
 			e := evs[(i+perm*3)%len(evs)]
-			w.AtKey(e.at, e.key, func() { got = append(got, e) })
+			h.atKey(e.at, e.key, func() { got = append(got, e) })
 		}
-		w.Run()
+		h.run()
 		if perm == 0 {
 			first = got
 			continue
@@ -152,68 +196,87 @@ func TestWheelKeyOrderInsertionIndependent(t *testing.T) {
 	}
 }
 
+// TestWheelDrainsSlotInKeyOrder: an event firing at the current time may
+// schedule more events at that time, with keys below or above the ones
+// still queued there; draining the slot must still fire them all in key
+// order before time advances.
+func TestWheelDrainsSlotInKeyOrder(t *testing.T) {
+	h := newHarness(8)
+	var got []uint64
+	rec := func(k uint64) func() { return func() { got = append(got, k) } }
+	h.atKey(3, 10, func() {
+		got = append(got, 10)
+		h.atKey(3, 15, rec(15)) // between queued keys
+		h.atKey(3, 11, rec(11))
+		h.atKey(4, 1, rec(1)) // next cycle, smallest key
+	})
+	h.atKey(3, 20, rec(20))
+	h.atKey(3, 12, rec(12))
+	h.run()
+	want := []uint64{10, 11, 12, 15, 20, 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if h.w.Fired() != uint64(len(want)) {
+		t.Fatalf("Fired = %d, want %d", h.w.Fired(), len(want))
+	}
+}
+
 // TestWheelRunUntilExactDeadline exercises RunUntil with an event exactly
 // at the deadline, including an in-flight callback that schedules another
 // event at the deadline itself: both must fire and the later event must
 // not.
 func TestWheelRunUntilExactDeadline(t *testing.T) {
-	for _, s := range []*Wheel{NewWheel(8), NewWheel(0)} {
+	for _, slots := range []int{8, 0} {
+		h := newHarness(slots)
 		var fired []string
-		s.At(5, func() { fired = append(fired, "early") })
-		s.At(10, func() {
+		h.at(5, func() { fired = append(fired, "early") })
+		h.at(10, func() {
 			fired = append(fired, "deadline")
-			s.At(10, func() { fired = append(fired, "inflight") }) // same-cycle chain
+			h.at(10, func() { fired = append(fired, "inflight") }) // same-cycle chain
 		})
-		s.At(11, func() { fired = append(fired, "late") })
-		if s.RunUntil(10) {
-			t.Fatalf("%T: RunUntil(10) drained, event at 11 still pending", s)
+		h.at(11, func() { fired = append(fired, "late") })
+		if h.runUntil(10) {
+			t.Fatalf("slots %d: RunUntil(10) drained, event at 11 still pending", slots)
 		}
 		want := []string{"early", "deadline", "inflight"}
 		if !reflect.DeepEqual(fired, want) {
-			t.Fatalf("%T: fired %v, want %v", s, fired, want)
+			t.Fatalf("slots %d: fired %v, want %v", slots, fired, want)
 		}
-		if s.Now() != 10 {
-			t.Fatalf("%T: Now() = %d after RunUntil(10), want 10", s, s.Now())
+		if h.w.Now() != 10 {
+			t.Fatalf("slots %d: Now() = %d after RunUntil(10), want 10", slots, h.w.Now())
 		}
-		if s.Pending() != 1 {
-			t.Fatalf("%T: %d events pending, want 1", s, s.Pending())
+		if h.w.Pending() != 1 {
+			t.Fatalf("slots %d: %d events pending, want 1", slots, h.w.Pending())
 		}
-		if !s.RunUntil(11) {
-			t.Fatalf("%T: RunUntil(11) did not drain", s)
+		if !h.runUntil(11) {
+			t.Fatalf("slots %d: RunUntil(11) did not drain", slots)
 		}
 		if fired[len(fired)-1] != "late" {
-			t.Fatalf("%T: event at 11 never fired: %v", s, fired)
+			t.Fatalf("slots %d: event at 11 never fired: %v", slots, fired)
 		}
 	}
 }
 
-// TestAfterOverflow pins the behavior of After near the top of the Time
-// range: a delay that still fits schedules normally, a delay that wraps
-// panics instead of corrupting causality.
-func TestAfterOverflow(t *testing.T) {
+// TestWheelTopOfTimeRange pins scheduling near the top of the Time range:
+// an event at MaxUint64 fires, and time ends there.
+func TestWheelTopOfTimeRange(t *testing.T) {
 	const high = Time(math.MaxUint64) - 10
-	for _, s := range []*Wheel{NewWheel(8), NewWheel(0)} {
-		s.At(high, func() {})
-		s.Step() // now = MaxUint64-10
-		if s.Now() != high {
-			t.Fatalf("%T: Now() = %d, want %d", s, s.Now(), high)
+	for _, slots := range []int{8, 0} {
+		h := newHarness(slots)
+		h.at(high, func() {})
+		h.runUntil(high)
+		if h.w.Now() != high {
+			t.Fatalf("slots %d: Now() = %d, want %d", slots, h.w.Now(), high)
 		}
 		ran := false
-		s.After(10, func() { ran = true }) // lands exactly on MaxUint64
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%T: After(11) near MaxUint64 did not panic", s)
-				}
-			}()
-			s.After(11, func() {})
-		}()
-		s.Run()
+		h.after(10, func() { ran = true }) // lands exactly on MaxUint64
+		h.run()
 		if !ran {
-			t.Fatalf("%T: event at MaxUint64 never fired", s)
+			t.Fatalf("slots %d: event at MaxUint64 never fired", slots)
 		}
-		if s.Now() != math.MaxUint64 {
-			t.Fatalf("%T: final time %d, want MaxUint64", s, s.Now())
+		if h.w.Now() != math.MaxUint64 {
+			t.Fatalf("slots %d: final time %d, want MaxUint64", slots, h.w.Now())
 		}
 	}
 }
@@ -221,15 +284,15 @@ func TestAfterOverflow(t *testing.T) {
 // TestWheelPastPanics pins the contract for scheduling behind the current
 // time from outside a callback.
 func TestWheelPastPanics(t *testing.T) {
-	w := NewWheel(8)
-	w.At(5, func() {})
-	w.Step()
+	h := newHarness(8)
+	h.at(5, func() {})
+	h.run()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("At(3) with now=5 did not panic")
+			t.Fatal("AtKey(3) with now=5 did not panic")
 		}
 	}()
-	w.At(3, func() {})
+	h.at(3, func() {})
 }
 
 // BenchmarkWheelChurn models the machine's event pattern: each fired event
@@ -238,19 +301,21 @@ func TestWheelPastPanics(t *testing.T) {
 func BenchmarkWheelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := NewWheel(0)
+		w := NewWheel(0)
 		remaining := 200_000
-		var chain func()
-		chain = func() {
+		var key uint64
+		fire := func(ev Event) {
 			if remaining <= 0 {
 				return
 			}
 			remaining--
-			s.After(Time(13+remaining%40), chain)
+			key++
+			w.AtKey(w.Now()+Time(13+remaining%40), key, ev)
 		}
 		for c := 0; c < 64; c++ {
-			s.After(Time(c%17), chain)
+			key++
+			w.AtKey(Time(c%17), key, Event{Arg: uint32(c)})
 		}
-		s.Run()
+		w.RunUntil(math.MaxUint64, fire)
 	}
 }

@@ -347,14 +347,20 @@ func (d *Sparse) Allocate(block int64, now uint64) (core.Entry, *Victim) {
 	if free >= 0 {
 		return d.install(&set[free], block, now), nil
 	}
-	// All ways live: reclaim one according to policy.
+	// All ways live: reclaim one according to policy. The victim's entry
+	// leaves with the Victim (its recall still reads it), so the slot
+	// gets a fresh one.
 	vi := d.pickVictim(set)
 	d.m.evicts.Inc()
 	victim := &Victim{Block: set[vi].block, Entry: set[vi].entry}
+	set[vi].entry = nil
 	d.install(&set[vi], block, now)
 	return set[vi].entry, victim
 }
 
+// install makes l the live line for block. A slot freed by Release kept
+// its entry, reset, and reuses it; only a slot that never held one, or
+// whose entry left with a victim, builds a new one.
 func (d *Sparse) install(l *line, block int64, now uint64) core.Entry {
 	if !l.valid {
 		d.live++
@@ -364,7 +370,9 @@ func (d *Sparse) install(l *line, block int64, now uint64) core.Entry {
 	}
 	l.valid = true
 	l.block = block
-	l.entry = d.scheme.NewEntry()
+	if l.entry == nil {
+		l.entry = d.scheme.NewEntry()
+	}
 	l.lastUse = now
 	l.allocTime = now
 	return l.entry
@@ -381,13 +389,14 @@ func (d *Sparse) pickVictim(set []line) int {
 	}
 }
 
-// Release implements Directory.
+// Release implements Directory. The freed slot keeps its entry, reset,
+// for the next install: a reset entry behaves exactly like a new one.
 func (d *Sparse) Release(block int64) {
 	set := d.set(block)
 	for i := range set {
 		if set[i].valid && set[i].block == block {
 			set[i].valid = false
-			set[i].entry = nil
+			set[i].entry.Reset()
 			d.live--
 			return
 		}
