@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -74,6 +75,45 @@ func TestTraceOverheadDisabled(t *testing.T) {
 	t.Logf("disabled %v, discard sink %v, ratio %.3f", minOff, minOn, ratio)
 	if ratio > 1.25 {
 		t.Errorf("discard-sink tracing is %.0f%% slower than disabled (want <= 25%%)", 100*(ratio-1))
+	}
+}
+
+// TestSpanRecordsReused pins span tracing's memory: a transaction's record
+// is reused once nothing can name it, so a run recording spans to the
+// discard sink allocates at most a few kilobytes more than the same run
+// with spans off. The faulty run drops and duplicates messages, so
+// records are also held by undelivered envelopes. Byte counts are exact,
+// so the bound is a gate, not a timing.
+func TestSpanRecordsReused(t *testing.T) {
+	w := overheadWorkload()
+	for _, faults := range []bool{false, true} {
+		run := func(spans bool) uint64 {
+			cfg := testConfig(16, CoarseVec2)
+			cfg.Seed = 1
+			if faults {
+				cfg.Mesh.Faults.Drop, cfg.Mesh.Faults.Dup = 0.02, 0.02
+			}
+			if spans {
+				cfg.Spans = obs.NewSpanRecorder(obs.DiscardSpans, 0)
+			}
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			if _, err := m.Run(w); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		off, on := run(false), run(true)
+		t.Logf("faults %v: %d bytes with spans off, %d with spans on", faults, off, on)
+		if on > off+64<<10 {
+			t.Errorf("faults %v: span tracing allocated %d bytes beyond the spans-off run (budget 64 KiB)", faults, on-off)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"dircoh/internal/obs"
 	"dircoh/internal/sim"
 )
@@ -19,6 +21,12 @@ import (
 //
 // The txState travels along the transaction's message chain. Helpers that
 // allocate span IDs take the executing cluster, which anchors the ID.
+//
+// A record is reused once nothing can name it again: its root span is out
+// (open cleared), its last acknowledgement is in, and no fault-model
+// envelope carrying it is undelivered (envs). A retry of an undelivered
+// envelope still annotates the transaction after its root, so the
+// envelope holds the record until delivery.
 type txState struct {
 	id    uint64
 	class obs.TxClass
@@ -34,6 +42,10 @@ type txState struct {
 	ackStart  sim.Time
 	fanout    int64
 	endOnAcks bool
+
+	open  bool // the root span has not been emitted
+	envs  int  // undelivered envelopes naming the transaction
+	freed bool // on the free list
 }
 
 // spanID allocates the next span identifier in cluster c's context: the
@@ -52,14 +64,21 @@ func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txSta
 		return nil
 	}
 	now := m.now()
-	// Records are carved from a slab: one object per transaction was the
-	// largest single cost of span tracing.
-	if len(m.txSlab) == 0 {
-		m.txSlab = make([]txState, txSlabLen)
+	// Finished records are reused before new ones are carved from a slab:
+	// a fresh object per transaction was the largest single cost of span
+	// tracing.
+	var tx *txState
+	if n := len(m.txFree); n > 0 {
+		tx = m.txFree[n-1]
+		m.txFree = m.txFree[:n-1]
+	} else {
+		if len(m.txSlab) == 0 {
+			m.txSlab = make([]txState, txSlabLen)
+		}
+		tx = &m.txSlab[0]
+		m.txSlab = m.txSlab[1:]
 	}
-	tx := &m.txSlab[0]
-	m.txSlab = m.txSlab[1:]
-	*tx = txState{id: m.spanID(c), class: class, node: int32(c.id), block: block, start: now, mark: now}
+	*tx = txState{id: m.spanID(c), class: class, node: int32(c.id), block: block, start: now, mark: now, open: true}
 	if m.chk != nil {
 		m.chk.OpenTx(block, tx.id)
 	}
@@ -134,7 +153,9 @@ func (m *Machine) txAck(c *clusterNode, tx *txState) {
 	if tx.endOnAcks {
 		tx.mark = now
 		m.txEnd(tx)
+		return
 	}
+	m.txRelease(tx)
 }
 
 // txEnd emits the transaction's root span and records its latency in its
@@ -153,6 +174,22 @@ func (m *Machine) txEnd(tx *txState) {
 	if m.chk != nil {
 		m.chk.CloseTx(tx.block, tx.id)
 	}
+	tx.open = false
+	m.txRelease(tx)
+}
+
+// txRelease puts tx on the free list if nothing can name it any more (see
+// txState). Each caller has just cleared one of the three holds, so a
+// record is released once, by whichever hold clears last.
+func (m *Machine) txRelease(tx *txState) {
+	if tx.open || tx.acks > 0 || tx.envs > 0 {
+		return
+	}
+	if tx.freed {
+		panic(fmt.Sprintf("machine: transaction %d released twice", tx.id))
+	}
+	tx.freed = true
+	m.txFree = append(m.txFree, tx)
 }
 
 // lockTxSet remembers p's open lock-round transaction so the grant or wake
