@@ -59,6 +59,10 @@ const pageSets = 64
 type Cache struct {
 	sets  int
 	assoc int
+	// mask is sets-1 when pow2 is set: a power-of-two set count (the
+	// paper's geometries) indexes with a mask instead of a 64-bit modulus.
+	mask uint64
+	pow2 bool
 	// pages maps page p, sets [p*pageSets, (p+1)*pageSets), to 1 + the
 	// slab offset of its first line; 0 means the page was never filled.
 	pages []int32
@@ -109,17 +113,35 @@ func NewCache(sizeBytes, blockBytes, assoc int) *Cache {
 	if err := checkGeometry("", sizeBytes, blockBytes, assoc); err != nil {
 		panic(err)
 	}
-	sets := sizeBytes / blockBytes / assoc
-	return &Cache{sets: sets, assoc: assoc, pages: make([]int32, (sets+pageSets-1)/pageSets)}
+	c := geometry(sizeBytes, blockBytes, assoc)
+	c.pages = make([]int32, c.pageCount())
+	return &c
 }
+
+// geometry returns a cache of a valid geometry with no page index yet.
+func geometry(sizeBytes, blockBytes, assoc int) Cache {
+	sets := sizeBytes / blockBytes / assoc
+	return Cache{sets: sets, assoc: assoc, mask: uint64(sets - 1), pow2: sets&(sets-1) == 0}
+}
+
+// pageCount returns the number of pages the geometry spans.
+func (c *Cache) pageCount() int { return (c.sets + pageSets - 1) / pageSets }
 
 // Lines returns the total number of cache lines in the geometry, allocated
 // or not.
 func (c *Cache) Lines() int { return c.sets * c.assoc }
 
+// setIndex returns block's set number.
+func (c *Cache) setIndex(block int64) uint {
+	if c.pow2 {
+		return uint(uint64(block) & c.mask)
+	}
+	return uint(uint64(block) % uint64(c.sets))
+}
+
 // set returns block's set, or nil if the set's page was never filled.
 func (c *Cache) set(block int64) []line {
-	si := uint(uint64(block) % uint64(c.sets))
+	si := c.setIndex(block)
 	p := uint(c.pages[si/pageSets])
 	if p == 0 {
 		return nil
@@ -135,7 +157,7 @@ func (c *Cache) pageLines(p int) int {
 
 // allocSet allocates the page holding block's set and returns the set.
 func (c *Cache) allocSet(block int64) []line {
-	p := int(uint64(block)%uint64(c.sets)) / pageSets
+	p := int(c.setIndex(block)) / pageSets
 	off, n := len(c.lines), c.pageLines(p)
 	if off+n > cap(c.lines) {
 		// Double the slab, but never past the whole geometry: a cache that

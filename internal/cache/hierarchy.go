@@ -50,20 +50,35 @@ type Stats struct {
 
 // Hierarchy is an inclusive L1+L2 pair, as in a DASH processor.
 type Hierarchy struct {
-	l1, l2 *Cache
+	l1, l2 Cache
 	stats  Stats
 }
 
 // NewHierarchy builds the two levels from cfg. L2 must be at least as
 // large as L1 (inclusion).
 func NewHierarchy(cfg Config) *Hierarchy {
+	return &NewHierarchies(cfg, 1)[0]
+}
+
+// NewHierarchies builds n hierarchies from cfg in one slice, every cache's
+// page index carved from one shared array, so building a machine's caches
+// costs the same few allocations at any processor count.
+func NewHierarchies(cfg Config, n int) []Hierarchy {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Hierarchy{
-		l1: NewCache(cfg.L1Size, cfg.Block, cfg.L1Assoc),
-		l2: NewCache(cfg.L2Size, cfg.Block, cfg.L2Assoc),
+	l1 := geometry(cfg.L1Size, cfg.Block, cfg.L1Assoc)
+	l2 := geometry(cfg.L2Size, cfg.Block, cfg.L2Assoc)
+	p1, p2 := l1.pageCount(), l2.pageCount()
+	index := make([]int32, n*(p1+p2))
+	hs := make([]Hierarchy, n)
+	for i := range hs {
+		h := &hs[i]
+		h.l1, h.l2 = l1, l2
+		h.l1.pages, index = index[:p1:p1], index[p1:]
+		h.l2.pages, index = index[:p2:p2], index[p2:]
 	}
+	return hs
 }
 
 // Stats returns cumulative counters.
@@ -109,8 +124,12 @@ func (h *Hierarchy) Access(block int64, write bool, now uint64) AccessResult {
 	if l1 := way(set1, block); l1 != nil && usable(l1.state, write) {
 		h.stats.L1Hits++
 		l1.lastUse = now
-		if l2 := h.l2.find(block); l2 != nil {
-			l2.lastUse = now
+		// A one-way set never reads lastUse, so a direct-mapped L2 (the
+		// paper's geometry) skips its lookup.
+		if h.l2.assoc > 1 {
+			if l2 := h.l2.find(block); l2 != nil {
+				l2.lastUse = now
+			}
 		}
 		return Hit
 	}

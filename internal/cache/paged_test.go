@@ -7,8 +7,11 @@ import (
 )
 
 // pagedGeometries span several pages with set counts that are not a
-// multiple of pageSets (3, 96 and 200 sets), at associativities 1, 2 and 4.
-// Every other test in the package fits in one page.
+// multiple of pageSets (3, 96 and 200 sets), at associativities 1, 2 and 4,
+// and then with power-of-two set counts (64 and 128 sets), which index
+// with a mask: direct-mapped L2s under a direct-mapped and a two-way L1,
+// and a four-way L2 under an L1 of more sets, where an L1 hit refreshes the
+// L2's LRU order. Every other test in the package fits in one page.
 var pagedGeometries = []Config{
 	{L1Size: 3 * 16, L1Assoc: 1, L2Size: 96 * 2 * 16, L2Assoc: 2, Block: 16},
 	{L1Size: 96 * 16, L1Assoc: 1, L2Size: 200 * 4 * 16, L2Assoc: 4, Block: 16},
@@ -16,6 +19,9 @@ var pagedGeometries = []Config{
 	{L1Size: 96 * 2 * 16, L1Assoc: 2, L2Size: 200 * 2 * 16, L2Assoc: 2, Block: 16},
 	{L1Size: 200 * 16, L1Assoc: 1, L2Size: 200 * 4 * 16, L2Assoc: 4, Block: 16},
 	{L1Size: 3 * 2 * 16, L1Assoc: 2, L2Size: 3 * 4 * 16, L2Assoc: 4, Block: 16},
+	{L1Size: 64 * 16, L1Assoc: 1, L2Size: 128 * 16, L2Assoc: 1, Block: 16},
+	{L1Size: 64 * 2 * 16, L1Assoc: 2, L2Size: 128 * 16, L2Assoc: 1, Block: 16},
+	{L1Size: 128 * 16, L1Assoc: 1, L2Size: 64 * 4 * 16, L2Assoc: 4, Block: 16},
 }
 
 type visit struct {
@@ -43,6 +49,15 @@ func FuzzHierarchyMatchesReference(f *testing.F) {
 	// Five fills into one 4-way set at one instant: the fifth evicts the
 	// first way.
 	f.Add(uint8(5), []byte{0x02, 0x00, 0x00, 0x02, 0x00, 0x03, 0x02, 0x00, 0x06, 0x02, 0x00, 0x09, 0x02, 0x00, 0x0c})
+	// The power-of-two geometries: conflicts in an L1 set and then an L2
+	// set, and a block on the last page; then an L1 hit on the L2 set's
+	// oldest way, which the next eviction must spare.
+	conflicts := []byte{0x02, 0x00, 0x05, 0x40, 0x00, 0x05, 0x0a, 0x00, 0x45, 0x40, 0x00, 0x05, 0x02, 0x00, 0x85,
+		0x41, 0x00, 0x45, 0x05, 0x00, 0x85, 0x06, 0x00, 0x45, 0x07, 0x00, 0x45, 0x0a, 0x07, 0xff, 0x40, 0x07, 0xff}
+	f.Add(uint8(6), conflicts)
+	f.Add(uint8(7), conflicts)
+	f.Add(uint8(8), []byte{0x42, 0x00, 0x05, 0x42, 0x00, 0x45, 0x42, 0x00, 0xc5, 0x40, 0x00, 0x05,
+		0x42, 0x00, 0x85, 0x42, 0x01, 0x05, 0x07, 0x00, 0x05, 0x07, 0x00, 0x45})
 	f.Fuzz(func(t *testing.T, geo uint8, ops []byte) {
 		cfg := pagedGeometries[int(geo)%len(pagedGeometries)]
 		h, ref := NewHierarchy(cfg), newRefHierarchy(cfg)

@@ -20,12 +20,13 @@ import (
 // size 1 matches the full vector's precision at overflow.
 func (s *Session) RegionSweep(app string, procs int) ([]Run, *stats.Table) {
 	regions := []int{1, 2, 4, 8, 16, 32}
+	w := Workload(app, procs)
 	runs := s.collectRuns(len(regions)+1, func(i int) Run {
 		if i == 0 {
-			return s.RunApp(app, procs, "full vector", machine.FullVec)
+			return s.runApp(app, w, "full vector", machine.FullVec)
 		}
 		r := regions[i-1]
-		return s.RunApp(app, procs, fmt.Sprintf("Dir3CV%d", r),
+		return s.runApp(app, w, fmt.Sprintf("Dir3CV%d", r),
 			func(n int) (core.Scheme, error) { return core.NewCoarseVector(3, r, n) })
 	})
 	base := runs[0]
@@ -67,13 +68,14 @@ func (s *Session) PointerSweep(app string, procs int) ([]Run, *stats.Table) {
 			specs = append(specs, spec{kind: k, ptrs: i})
 		}
 	}
+	w := Workload(app, procs)
 	runs := s.collectRuns(len(specs), func(j int) Run {
 		sp := specs[j]
 		if sp.kind < 0 {
-			return s.RunApp(app, procs, "full vector", machine.FullVec)
+			return s.runApp(app, w, "full vector", machine.FullVec)
 		}
 		k := kinds[sp.kind]
-		return s.RunApp(app, procs, fmt.Sprintf("%s i=%d", k.name, sp.ptrs),
+		return s.runApp(app, w, fmt.Sprintf("%s i=%d", k.name, sp.ptrs),
 			func(n int) (core.Scheme, error) { return k.f(sp.ptrs, n) })
 	})
 	base := runs[0]
@@ -121,8 +123,9 @@ func (s *Session) DirectoryComparison(app string, procs int) ([]Run, *stats.Tabl
 		{"overflow, Dir2 + 64 wide", ovCfg},
 		{"overflow, Dir2 + 8 wide", ovTight},
 	}
+	w := Workload(app, procs)
 	runs := s.collectRuns(len(rows), func(i int) Run {
-		return s.runWorkload(app, Workload(app, procs), rows[i].cfg, rows[i].label)
+		return s.runWorkload(app, w, rows[i].cfg, rows[i].label)
 	})
 	tb := stats.NewTable("directory", "exec(norm)", "msgs(norm)", "inval+ack", "replacements")
 	baseExec := float64(runs[0].Result.ExecTime)
@@ -176,10 +179,9 @@ func (s *Session) LockContention(procs, rounds int) ([]Run, *stats.Table) {
 		{"Coarse Vector", machine.CoarseVec2},
 		{"Broadcast", machine.Broadcast},
 	}
+	w := lockStorm(procs, rounds)
 	runs := s.collectRuns(len(schemes), func(i int) Run {
-		cfg := machine.DefaultConfig(schemes[i].f)
-		cfg.Procs = procs
-		return s.runWorkload("lock-storm", lockStorm(procs, rounds), cfg, schemes[i].label)
+		return s.runApp("lock-storm", w, schemes[i].label, schemes[i].f)
 	})
 	tb := stats.NewTable("waiter scheme", "exec", "msgs", "lock retries")
 	for _, run := range runs {

@@ -55,24 +55,20 @@ func Workload(app string, procs int) *tango.Workload {
 // RunApp simulates one application under one scheme with the prototype's
 // full-size caches and a non-sparse directory (the Figures 7–10 setup).
 func (s *Session) RunApp(app string, procs int, label string, f machine.SchemeFactory) Run {
+	return s.runApp(app, Workload(app, procs), label, f)
+}
+
+// runApp is RunApp on a workload already built. A section builds its
+// workload once and shares it, read-only, across its runs.
+func (s *Session) runApp(app string, w *tango.Workload, label string, f machine.SchemeFactory) Run {
 	cfg := machine.DefaultConfig(f)
-	cfg.Procs = procs
-	return s.runWith(app, cfg, label)
-}
-
-func (s *Session) runWith(app string, cfg machine.Config, label string) Run {
-	return s.runWorkload(app, Workload(app, cfg.Procs), cfg, label)
-}
-
-// runSparse runs a sparse-study configuration with the sparse-study
-// problem size (LU is enlarged so the data set pressures the directory
-// the way the paper's full-size problems pressured theirs).
-func (s *Session) runSparse(app string, cfg machine.Config, label string) Run {
-	return s.runWorkload(app, SparseWorkload(app, cfg.Procs), cfg, label)
+	cfg.Procs = w.Procs()
+	return s.runWorkload(app, w, cfg, label)
 }
 
 // SparseWorkload builds the problem size used by the sparse-directory
-// studies (Figures 11-14).
+// studies (Figures 11-14): LU is enlarged so the data set pressures the
+// directory the way the paper's full-size problems pressured theirs.
 func SparseWorkload(app string, procs int) *tango.Workload {
 	if app == "LU" {
 		return apps.LU(apps.LUConfig{Procs: procs, N: 128})
@@ -211,9 +207,10 @@ func (s *Session) Figs3to6(procs int) []Run {
 		{"Figure 5", "Dir3B", machine.Broadcast},
 		{"Figure 6", "Dir3CV2", machine.CoarseVec2},
 	}
+	w := Workload("LocusRoute", procs)
 	return s.collectRuns(len(order), func(i int) Run {
 		o := order[i]
-		return s.RunApp("LocusRoute", procs, o.fig+": "+o.label, o.f)
+		return s.runApp("LocusRoute", w, o.fig+": "+o.label, o.f)
 	})
 }
 
@@ -221,8 +218,9 @@ func (s *Session) Figs3to6(procs int) []Run {
 // all four schemes, reporting execution time and message counts
 // normalized to the full bit vector.
 func (s *Session) SchemeComparison(app string, procs int) ([]Run, *stats.Table) {
+	w := Workload(app, procs)
 	runs := s.collectRuns(len(Schemes), func(i int) Run {
-		return s.RunApp(app, procs, Schemes[i].Label, Schemes[i].Factory)
+		return s.runApp(app, w, Schemes[i].Label, Schemes[i].Factory)
 	})
 	base := runs[0].Result
 	tb := stats.NewTable("scheme", "exec", "exec(norm)", "msgs", "msgs(norm)", "requests", "replies", "inval+ack")
@@ -295,12 +293,13 @@ func (s *Session) SparsePerformance(app string, procs int) ([]Run, *stats.Table)
 			specs = append(specs, spec{s.Label, s.Factory, sf})
 		}
 	}
+	w := SparseWorkload(app, procs)
 	runs := s.collectRuns(len(specs), func(i int) Run {
 		sp := specs[i]
 		if sp.sf == 0 {
-			return s.runSparse(app, SparseConfigFor(app, sp.factory, procs, 0, 0, sparse.Random), "non-sparse full vector")
+			return s.runWorkload(app, w, SparseConfigFor(app, sp.factory, procs, 0, 0, sparse.Random), "non-sparse full vector")
 		}
-		return s.runSparse(app, SparseConfigFor(app, sp.factory, procs, sp.sf, 4, sparse.Random),
+		return s.runWorkload(app, w, SparseConfigFor(app, sp.factory, procs, sp.sf, 4, sparse.Random),
 			fmt.Sprintf("%s sf=%d", sp.scheme, sp.sf))
 	})
 	base := runs[0]
@@ -330,12 +329,13 @@ func (s *Session) AssocSweep(app string, procs int) ([]Run, *stats.Table) {
 			specs = append(specs, spec{sf, assoc})
 		}
 	}
+	w := SparseWorkload(app, procs)
 	runs := s.collectRuns(len(specs), func(i int) Run {
 		sp := specs[i]
 		if sp.sf == 0 {
-			return s.runSparse(app, SparseConfigFor(app, machine.FullVec, procs, 0, 0, sparse.Random), "non-sparse")
+			return s.runWorkload(app, w, SparseConfigFor(app, machine.FullVec, procs, 0, 0, sparse.Random), "non-sparse")
 		}
-		return s.runSparse(app, SparseConfigFor(app, machine.FullVec, procs, sp.sf, sp.assoc, sparse.Random),
+		return s.runWorkload(app, w, SparseConfigFor(app, machine.FullVec, procs, sp.sf, sp.assoc, sparse.Random),
 			fmt.Sprintf("sf=%d assoc=%d", sp.sf, sp.assoc))
 	})
 	base := runs[0]
@@ -367,12 +367,13 @@ func (s *Session) PolicySweep(app string, procs int) ([]Run, *stats.Table) {
 			specs = append(specs, spec{sf, pol})
 		}
 	}
+	w := SparseWorkload(app, procs)
 	runs := s.collectRuns(len(specs), func(i int) Run {
 		sp := specs[i]
 		if sp.sf == 0 {
-			return s.runSparse(app, SparseConfigFor(app, machine.FullVec, procs, 0, 0, sparse.Random), "non-sparse")
+			return s.runWorkload(app, w, SparseConfigFor(app, machine.FullVec, procs, 0, 0, sparse.Random), "non-sparse")
 		}
-		return s.runSparse(app, SparseConfigFor(app, machine.FullVec, procs, sp.sf, 4, sp.pol),
+		return s.runWorkload(app, w, SparseConfigFor(app, machine.FullVec, procs, sp.sf, 4, sp.pol),
 			fmt.Sprintf("sf=%d %v", sp.sf, sp.pol))
 	})
 	base := runs[0]
@@ -411,9 +412,8 @@ func WorkloadSeeded(app string, procs int, seed int64) *tango.Workload {
 // used to check that the paper's conclusions are not artifacts of one
 // random input.
 func (s *Session) SchemeComparisonSeeded(app string, procs int, seed int64) []Run {
+	w := WorkloadSeeded(app, procs, seed)
 	return s.collectRuns(len(Schemes), func(i int) Run {
-		cfg := machine.DefaultConfig(Schemes[i].Factory)
-		cfg.Procs = procs
-		return s.runWorkload(app, WorkloadSeeded(app, procs, seed), cfg, Schemes[i].Label)
+		return s.runApp(app, w, Schemes[i].Label, Schemes[i].Factory)
 	})
 }

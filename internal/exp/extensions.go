@@ -51,8 +51,9 @@ func (s *Session) BlockSizeStudy(app string, procs int, blockSizes []int) ([]Run
 		cfg.Cache.Block = bs
 		return cfg
 	}
+	w := Workload(app, procs)
 	runs := s.collectRuns(len(blockSizes), func(i int) Run {
-		return s.runWorkload(app, Workload(app, procs), cfgFor(blockSizes[i]), fmt.Sprintf("block=%d", blockSizes[i]))
+		return s.runWorkload(app, w, cfgFor(blockSizes[i]), fmt.Sprintf("block=%d", blockSizes[i]))
 	})
 	tb := stats.NewTable("block", "overhead", "exec(norm)", "msgs(norm)", "inval+ack", "misses")
 	base := runs[0].Result
@@ -97,12 +98,13 @@ func (s *Session) NetworkContention(app string, procs int, portTimes []sim.Time)
 			specs = append(specs, spec{pt, si})
 		}
 	}
+	w := Workload(app, procs)
 	runs := s.collectRuns(len(specs), func(i int) Run {
 		sp := specs[i]
 		cfg := machine.DefaultConfig(schemes[sp.scheme].f)
 		cfg.Procs = procs
 		cfg.Mesh.PortTime = sp.pt
-		return s.runWorkload(app, Workload(app, procs), cfg,
+		return s.runWorkload(app, w, cfg,
 			fmt.Sprintf("%s port=%d", schemes[sp.scheme].label, sp.pt))
 	})
 	tb := stats.NewTable("port time", "scheme", "exec", "exec(norm)", "net stalls")
@@ -150,13 +152,14 @@ func (s *Session) BarrierStudy(procs, rounds int, portTimes []sim.Time) ([]Run, 
 			specs = append(specs, spec{pt, kind})
 		}
 	}
+	w := barrierStorm(procs, rounds)
 	runs := s.collectRuns(len(specs), func(i int) Run {
 		sp := specs[i]
 		cfg := machine.DefaultConfig(machine.FullVec)
 		cfg.Procs = procs
 		cfg.Barrier = sp.kind
 		cfg.Mesh.PortTime = sp.pt
-		return s.runWorkload("barrier-storm", barrierStorm(procs, rounds), cfg,
+		return s.runWorkload("barrier-storm", w, cfg,
 			fmt.Sprintf("%v port=%d", sp.kind, sp.pt))
 	})
 	tb := stats.NewTable("barrier", "port time", "exec", "msgs", "net stalls")

@@ -83,11 +83,13 @@ func (s *Session) ScaleStudy(clusters []int, rounds int) ([]Run, *stats.Table) {
 	type spec struct {
 		n      int
 		scheme int
+		w      *tango.Workload // the probe at n clusters, shared by its schemes' runs
 	}
 	var specs []spec
 	for _, n := range clusters {
+		w := ScaleProbe(n, rounds)
 		for si := range ScaleSchemes {
-			specs = append(specs, spec{n, si})
+			specs = append(specs, spec{n, si, w})
 		}
 	}
 	runs := s.collectRuns(len(specs), func(i int) Run {
@@ -95,7 +97,7 @@ func (s *Session) ScaleStudy(clusters []int, rounds int) ([]Run, *stats.Table) {
 		cfg := machine.DefaultConfig(ScaleSchemes[sp.scheme].Factory)
 		cfg.Procs = sp.n
 		cfg.Barrier = machine.TreeBarrier
-		return s.runWorkload("scale-probe", ScaleProbe(sp.n, rounds), cfg,
+		return s.runWorkload("scale-probe", sp.w, cfg,
 			fmt.Sprintf("%s n=%d", ScaleSchemes[sp.scheme].Label, sp.n))
 	})
 	tb := stats.NewTable("clusters", "scheme", "entry bits", "entry bytes", "exec", "exec(norm)", "msgs", "msgs(norm)", "inval+ack")

@@ -145,10 +145,7 @@ func (m *Machine) shadowMiss(c *clusterNode, b int64) bool {
 			return false
 		}
 	}
-	if _, ok := c.pendingReads[b]; ok {
-		return false
-	}
-	return true
+	return c.leader(readMiss, b) == nil
 }
 
 // invalApplied records a directed invalidation arriving at its target

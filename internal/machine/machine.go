@@ -104,57 +104,65 @@ const txSlabLen = 256
 // stream) and the lock table built on it are per cluster, so each
 // cluster's victim stream is its own. The RAC occupancy gauge is per
 // cluster too: "rac.pending" reports the highest peak any one cluster
-// reached, folded into the registry at quiescence.
+// reached, folded into the registry at quiescence. The gate, RAC and lock
+// table are values that make their maps on first insert, so a cluster
+// that never serializes a block, recalls an entry or takes a lock pays
+// nothing for them.
 type clusterNode struct {
 	id      int
 	evSeq   uint64      // per-cluster event sequence, the wheel ordering key
 	spanSeq uint64      // per-cluster span-ID sequence (see spanID)
 	scheme  core.Scheme // this cluster's scheme instance
-	locks   *protocol.LockTable
+	locks   protocol.LockTable
 	racPend obs.Gauge // "rac.pending", folded into the registry at quiescence
 	dir     sparse.Directory
-	gate    *protocol.Gate
-	rac     *protocol.RAC
+	gate    protocol.Gate
+	rac     protocol.RAC
 	busFree sim.Time
 	dirFree sim.Time
 	busBusy sim.Time // cumulative bus occupancy (utilization accounting)
 	dirBusy sim.Time // cumulative directory occupancy
-	procs   []*proc
-	// pendingReads merges outstanding read misses to the same block from
-	// different processors of the cluster (the RAC's request-merging
-	// function in DASH): followers wait for the leader's reply instead
-	// of sending their own request.
-	pendingReads map[int64][]*proc
-	// poisonedReads marks pending reads whose block was invalidated
-	// while the reply was in flight: the data is delivered to the
-	// processor but must not be cached (the invalidation logically
-	// follows the read) — the RAC's conflict-resolution function.
-	poisonedReads map[int64]bool
-	// pendingWrite marks blocks with an outstanding remote ownership
-	// request from this cluster; writeWaiters holds local accesses that
-	// missed meanwhile and retry when the write completes (MSHR
-	// merging, as the DASH RAC does).
-	pendingWrite map[int64]bool
-	writeWaiters map[int64][]*proc
-	// treeBarrier tracks this cluster's node of the combining tree:
-	// arrival counts and locally parked processors, per barrier address.
-	treeArrived map[int64]int
-	treeWaiting map[int64][]*proc
+	procs   []*proc  // this cluster's run of Machine.procs
+	// tree holds this cluster's nodes of the combining tree, one per tree
+	// barrier in progress here; a finished episode's node serves the next.
+	tree []treeNode
 	// wbExpected counts writebacks known to be in flight to this home:
 	// when a request arrives from the very cluster the directory records
 	// as dirty owner, the owner must have evicted its copy, so a
 	// writeback is on the way. The next writeback for the block is then
 	// stale with respect to the re-granted ownership and must be
-	// dropped, not applied.
+	// dropped, not applied. The map is made on first write.
 	wbExpected map[int64]int
 }
+
+// treeNode is a cluster's node of the combining tree for one barrier
+// episode: the arrivals it has combined (its local processors and its
+// completed child subtrees) and its local processors parked until the
+// release comes down. It is idle, free for any barrier address, when both
+// are empty.
+type treeNode struct {
+	addr    int64
+	arrived int
+	waiting []*proc
+}
+
+// missKind names the remote miss a processor leads: the cluster's other
+// accesses to the same block merge onto it instead of sending their own
+// request (MSHR merging, as the DASH RAC does).
+type missKind uint8
+
+const (
+	noMiss    missKind = iota
+	readMiss           // a ReadReq in flight: merged reads ride its reply
+	writeMiss          // a WriteReq or UpgradeReq in flight: merged accesses retry over the bus when it lands
+)
 
 // proc is one simulated processor.
 type proc struct {
 	id     int
 	cl     *clusterNode
 	h      *cache.Hierarchy
-	stream *tango.Stream
+	stream tango.Stream
 
 	// The outstanding access's operands, which the processor-side stages
 	// of its miss chain read with opWrite (a processor has one access
@@ -163,6 +171,20 @@ type proc struct {
 	block   int64
 	upgrade bool
 	tx      *txState
+
+	// The cluster's miss state for the outstanding access, held by the
+	// processor that owns the miss (one access outstanding per processor,
+	// so a cluster finds a block's miss by scanning its processors).
+	// miss marks the processor as the leader of a remote miss for block.
+	// poisoned marks a leading read whose block was invalidated while the
+	// reply was in flight: the data is delivered but must not be cached
+	// (the invalidation logically follows the read) — the RAC's
+	// conflict-resolution function. merged heads the accesses merged onto
+	// the miss, in arrival order, linked through nextMerged.
+	miss       missKind
+	poisoned   bool
+	merged     *proc
+	nextMerged *proc
 
 	// The synchronization reference at the release-consistency fence:
 	// fenced marks it waiting for the processor's acks to drain.
@@ -261,14 +283,25 @@ func New(cfg Config) (*Machine, error) {
 	}
 	reg.Gauge("rac.pending") // the per-cluster gauges fold into it at quiescence
 
-	for c := 0; c < clusters; c++ {
+	// Each kind of per-cluster and per-processor state is one slice, so
+	// construction makes a fixed number of allocations plus the schemes'.
+	nodes := make([]clusterNode, clusters)
+	m.clusters = make([]*clusterNode, clusters)
+	var fullMaps []sparse.FullMap
+	if cfg.Overflow == nil && cfg.Sparse.Entries == 0 {
+		fullMaps = make([]sparse.FullMap, clusters)
+	}
+	gateWaits := reg.Counter("gate.waits")
+	for c := range nodes {
 		scheme, err := cfg.Scheme(clusters)
 		if err != nil {
 			return nil, fmt.Errorf("machine: %w", err)
 		}
-		var dir sparse.Directory
+		cl := &nodes[c]
+		cl.id, cl.scheme = c, scheme
+		cl.locks.Scheme = scheme
 		if cfg.Overflow != nil {
-			dir = sparse.NewOverflow(sparse.OverflowConfig{
+			cl.dir = sparse.NewOverflow(sparse.OverflowConfig{
 				Ptrs:        cfg.Overflow.Ptrs,
 				Nodes:       clusters,
 				WideEntries: cfg.Overflow.WideEntries,
@@ -282,7 +315,7 @@ func New(cfg Config) (*Machine, error) {
 			if assoc == 0 {
 				assoc = 4 // the paper's main sparse setting
 			}
-			dir = sparse.New(sparse.Config{
+			cl.dir = sparse.New(sparse.Config{
 				Scheme:  scheme,
 				Entries: cfg.Sparse.Entries,
 				Assoc:   assoc,
@@ -291,37 +324,28 @@ func New(cfg Config) (*Machine, error) {
 				Metrics: reg,
 			})
 		} else {
-			dir = sparse.NewFullMap(scheme, reg)
+			fullMaps[c].Init(scheme, reg)
+			cl.dir = &fullMaps[c]
 		}
-		cl := &clusterNode{
-			id:            c,
-			scheme:        scheme,
-			locks:         protocol.NewLockTable(scheme),
-			dir:           dir,
-			gate:          protocol.NewGate(),
-			rac:           protocol.NewRAC(),
-			pendingReads:  make(map[int64][]*proc),
-			poisonedReads: make(map[int64]bool),
-			pendingWrite:  make(map[int64]bool),
-			writeWaiters:  make(map[int64][]*proc),
-			treeArrived:   make(map[int64]int),
-			treeWaiting:   make(map[int64][]*proc),
-			wbExpected:    make(map[int64]int),
-		}
-		cl.gate.Waits = reg.Counter("gate.waits")
+		cl.gate.Waits = gateWaits
 		cl.rac.Pend = &cl.racPend
 		if m.chk != nil {
 			cl.gate.Anomaly = func(op string, block int64) { m.protoAnomaly(cl, op, block) }
 			cl.rac.Anomaly = func(op string, block int64) { m.protoAnomaly(cl, op, block) }
 		}
-		m.clusters = append(m.clusters, cl)
+		m.clusters[c] = cl
 	}
 	m.scheme = m.clusters[0].scheme
-	for p := 0; p < cfg.Procs; p++ {
-		cl := m.clusters[p/cfg.ProcsPerCluster]
-		pr := &proc{id: p, cl: cl, h: cache.NewHierarchy(cfg.Cache)}
-		cl.procs = append(cl.procs, pr)
-		m.procs = append(m.procs, pr)
+	procs := make([]proc, cfg.Procs)
+	caches := cache.NewHierarchies(cfg.Cache, cfg.Procs)
+	m.procs = make([]*proc, cfg.Procs)
+	for i := range procs {
+		p := &procs[i]
+		p.id, p.cl, p.h = i, m.clusters[i/cfg.ProcsPerCluster], &caches[i]
+		m.procs[i] = p
+	}
+	for c, cl := range m.clusters {
+		cl.procs = m.procs[c*cfg.ProcsPerCluster : (c+1)*cfg.ProcsPerCluster]
 	}
 	if m.net.FaultsEnabled() {
 		m.faultsOn = true

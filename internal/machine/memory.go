@@ -89,6 +89,15 @@ func (m *Machine) writebackAtHome(r *rec) {
 	m.checkBlock(vb)
 }
 
+// expectWriteback records one stale writeback for block b in flight to the
+// home hc (see wbExpected).
+func (hc *clusterNode) expectWriteback(b int64) {
+	if hc.wbExpected == nil {
+		hc.wbExpected = make(map[int64]int)
+	}
+	hc.wbExpected[b]++
+}
+
 // staleWriteback consumes one expected stale writeback for block b at the
 // home hc (see wbExpected) and reports whether there was one.
 func (m *Machine) staleWriteback(hc *clusterNode, b int64) bool {
@@ -102,6 +111,37 @@ func (m *Machine) staleWriteback(hc *clusterNode, b int64) bool {
 		hc.wbExpected[b] = n - 1
 	}
 	return true
+}
+
+// leader returns c's processor that leads a remote miss of kind k for block
+// b, or nil.
+func (c *clusterNode) leader(k missKind, b int64) *proc {
+	for _, q := range c.procs {
+		if q.miss == k && q.block == b {
+			return q
+		}
+	}
+	return nil
+}
+
+// merge parks q's access behind l's miss, after the accesses merged before
+// it.
+func (l *proc) merge(q *proc) {
+	tail := &l.merged
+	for *tail != nil {
+		tail = &(*tail).nextMerged
+	}
+	*tail = q
+}
+
+// popMerged detaches and returns the first access merged onto p's miss,
+// or nil.
+func (p *proc) popMerged() *proc {
+	q := p.merged
+	if q != nil {
+		p.merged, q.nextMerged = q.nextMerged, nil
+	}
+	return q
 }
 
 // busMiss runs after p's local bus transaction: snoop the cluster's other
@@ -123,8 +163,8 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 		}
 		// A sibling's outstanding read must not install a copy after
 		// this write: poison it (bus-order serialization).
-		if _, ok := c.pendingReads[b]; ok {
-			c.poisonedReads[b] = true
+		if r := c.leader(readMiss, b); r != nil {
+			r.poisoned = true
 		}
 		if localDirty {
 			// Cache-to-cache ownership transfer within the cluster; the
@@ -138,14 +178,14 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 			m.homeLocalWrite(p, b)
 			return
 		}
-		if c.pendingWrite[b] {
+		if w := c.leader(writeMiss, b); w != nil {
 			// Another local processor's ownership request is in flight;
 			// retry over the bus when it completes.
-			c.writeWaiters[b] = append(c.writeWaiters[b], p)
+			w.merge(p)
 			m.mergedReads.Inc()
 			return
 		}
-		c.pendingWrite[b] = true
+		p.miss = writeMiss
 		kind := protocol.WriteReq
 		class := obs.TxWrite
 		if upgrade {
@@ -161,8 +201,8 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 	// Read. An ownership request in flight from this cluster wins the
 	// MSHR check before any bus supply: the sibling's copy is about to
 	// be superseded, so park and retry once the write lands.
-	if c.pendingWrite[b] {
-		c.writeWaiters[b] = append(c.writeWaiters[b], p)
+	if w := c.leader(writeMiss, b); w != nil {
+		w.merge(p)
 		m.mergedReads.Inc()
 		return
 	}
@@ -193,12 +233,12 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 	// RAC request merging: if another local processor already has a read
 	// outstanding for this block, ride its reply instead of sending a
 	// second request.
-	if followers, ok := c.pendingReads[b]; ok {
-		c.pendingReads[b] = append(followers, p)
+	if r := c.leader(readMiss, b); r != nil {
+		r.merge(p)
 		m.mergedReads.Inc()
 		return
 	}
-	c.pendingReads[b] = nil
+	p.miss = readMiss
 	p.tx = m.txStart(obs.TxRead, c, b)
 	m.trace(obs.EvReqIssue, c.id, b, int64(protocol.ReadReq))
 	m.sendTx(protocol.ReadReq, c.id, home, p.tx, procEv(stReadReq, p))
@@ -209,22 +249,22 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 func (m *Machine) remoteReadDone(p *proc, b int64, tx *txState) {
 	m.txPhase(p.cl, tx, obs.PhReplyTravel)
 	m.txEnd(tx)
-	now := m.now()
-	poisoned := p.cl.poisonedReads[b]
-	followers := p.cl.pendingReads[b]
-	delete(p.cl.pendingReads, b)
-	delete(p.cl.poisonedReads, b)
-	for k := -1; k < len(followers); k++ {
-		q := p
-		if k >= 0 {
-			q = followers[k]
-		}
-		if !poisoned {
-			m.fill(q, b, cache.Shared)
-		}
-		m.complete(q, now+m.t.Fill)
+	poisoned := p.poisoned
+	p.miss, p.poisoned = noMiss, false
+	m.readArrived(p, b, poisoned)
+	for q := p.popMerged(); q != nil; q = p.popMerged() {
+		m.readArrived(q, b, poisoned)
 	}
 	m.checkBlock(b)
+}
+
+// readArrived completes q's read of block b, caching the data unless the
+// read was poisoned.
+func (m *Machine) readArrived(q *proc, b int64, poisoned bool) {
+	if !poisoned {
+		m.fill(q, b, cache.Shared)
+	}
+	m.complete(q, m.now()+m.t.Fill)
 }
 
 // invalidateCluster removes block b from every cache of cluster c and, if
@@ -242,8 +282,8 @@ func (m *Machine) invalidateCluster(c *clusterNode, b int64, directed bool) {
 			hit = true
 		}
 	}
-	if _, ok := c.pendingReads[b]; ok {
-		c.poisonedReads[b] = true
+	if r := c.leader(readMiss, b); r != nil {
+		r.poisoned = true
 		hit = true
 	}
 	if directed && !hit {
@@ -498,7 +538,7 @@ func (m *Machine) serveRemoteRead(p *proc) {
 			// has already been granted back. A real home would NAK;
 			// here the entry is left untouched and the reply merely
 			// completes the read, which the overtaking write poisoned.
-			p.cl.poisonedReads[b] = true
+			p.poisoned = true
 			m.txPhase(h, tx, obs.PhDirWait)
 			m.sendTx(protocol.DataReply, h.id, rc, tx, procEv(stReadDone, p))
 			return
@@ -506,7 +546,7 @@ func (m *Machine) serveRemoteRead(p *proc) {
 		// The owner itself is asking: its copy was evicted, so a
 		// writeback is in flight and now stale.
 		e2.ClearDirty()
-		h.wbExpected[b]++
+		h.expectWriteback(b)
 	}
 	// Home-bus snoop: a home cache may hold the block dirty with no
 	// directory entry; downgrade it so memory supplies current data.
@@ -570,7 +610,7 @@ func (m *Machine) serveRemoteWrite(p *proc) {
 		// stale (see wbExpected). If the cluster still holds the block
 		// dirty the request itself is the stale artifact (delay or retry
 		// reordering) and no writeback is coming — don't expect one.
-		h.wbExpected[b]++
+		h.expectWriteback(b)
 	}
 	// Clean (or requester-owned): invalidate the sharers. The ownership
 	// reply carries the invalidation count; acknowledgements go straight
@@ -673,10 +713,8 @@ func (m *Machine) remoteWriteDone(p *proc, b int64, upgrade bool, n int, tx *txS
 	m.fillExclusive(p, b, upgrade)
 	c := p.cl
 	m.complete(p, m.now()+m.t.Fill)
-	delete(c.pendingWrite, b)
-	waiters := c.writeWaiters[b]
-	delete(c.writeWaiters, b)
-	for _, w := range waiters {
+	p.miss = noMiss
+	for w := p.popMerged(); w != nil; w = p.popMerged() {
 		m.at(c, m.now()+m.t.Fill, procEv(stRetry, w))
 	}
 }

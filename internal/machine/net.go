@@ -229,11 +229,11 @@ func (m *Machine) diagnosticDump() string {
 		for _, blk := range c.rac.TrackedBlocks() {
 			parts = append(parts, fmt.Sprintf("rac@%d(%d acks owed)", blk, c.rac.Outstanding(blk)))
 		}
-		for _, blk := range sortedKeys(c.pendingReads) {
-			parts = append(parts, fmt.Sprintf("pendingRead@%d(%d merged)", blk, len(c.pendingReads[blk])))
+		for _, q := range c.misses(readMiss) {
+			parts = append(parts, fmt.Sprintf("pendingRead@%d(%d merged)", q.block, q.mergedCount()))
 		}
-		for _, blk := range sortedKeys(c.pendingWrite) {
-			parts = append(parts, fmt.Sprintf("pendingWrite@%d", blk))
+		for _, q := range c.misses(writeMiss) {
+			parts = append(parts, fmt.Sprintf("pendingWrite@%d", q.block))
 		}
 		if len(parts) > 0 {
 			fmt.Fprintf(&b, "  cluster %d: %s\n", c.id, strings.Join(parts, " "))
@@ -257,6 +257,28 @@ func (m *Machine) diagnosticDump() string {
 		}
 	}
 	return strings.TrimRight(b.String(), "\n")
+}
+
+// misses returns c's processors that lead a remote miss of kind k, sorted
+// by block.
+func (c *clusterNode) misses(k missKind) []*proc {
+	var out []*proc
+	for _, q := range c.procs {
+		if q.miss == k {
+			out = append(out, q)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].block < out[j].block })
+	return out
+}
+
+// mergedCount returns the number of accesses merged onto p's miss.
+func (p *proc) mergedCount() int {
+	n := 0
+	for q := p.merged; q != nil; q = q.nextMerged {
+		n++
+	}
+	return n
 }
 
 // sortedKeys returns m's keys in ascending order (diagnostics must render

@@ -20,7 +20,7 @@ func TestGateAnomalyCallback(t *testing.T) {
 		{"unlock free", "Gate.Unlock", func(g *Gate) { g.Unlock(3, func(sim.Event) {}) }},
 	}
 	for _, tc := range cases {
-		g := NewGate()
+		g := new(Gate)
 		var gotOp string
 		var gotBlock int64
 		g.Anomaly = func(op string, block int64) { gotOp, gotBlock = op, block }
@@ -49,7 +49,7 @@ func TestRACAnomalyCallback(t *testing.T) {
 		{"untracked ack", "RAC.Ack", func(r *RAC) { r.Ack(5) }},
 	}
 	for _, tc := range cases {
-		r := NewRAC()
+		r := new(RAC)
 		var gotOp string
 		var gotBlock int64
 		r.Anomaly = func(op string, block int64) { gotOp, gotBlock = op, block }
@@ -76,7 +76,7 @@ func FuzzGate(f *testing.F) {
 	f.Add([]byte{0x10, 0x51, 0x92, 0xd1, 0x12})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const blocks = 4
-		g := NewGate()
+		g := new(Gate)
 		type waiter struct {
 			id, block int
 			relock    bool
@@ -158,7 +158,7 @@ func FuzzRAC(f *testing.F) {
 	f.Add([]byte{0x13, 0x01, 0x01, 0x23, 0x02})
 	f.Add([]byte{0x41, 0x04, 0x04, 0x04, 0x04})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		r := NewRAC()
+		r := new(RAC)
 		model := map[int64]int{}
 		peak := 0
 		for _, op := range ops {

@@ -13,6 +13,9 @@ import (
 // arriving meanwhile are queued as events and replayed, in order, when the
 // gate unlocks. This models DASH's pending/RAC-based serialization without
 // its NAK-and-retry traffic.
+//
+// The zero value is an empty gate table ready to use; its map is made by
+// the first Lock, so a home that never serializes a block pays nothing.
 type Gate struct {
 	m    map[int64]*gateState
 	free []*gateState // idle per-block states, reused by the next Lock
@@ -38,9 +41,6 @@ type gateState struct {
 	head int
 }
 
-// NewGate returns an empty gate table.
-func NewGate() *Gate { return &Gate{m: make(map[int64]*gateState)} }
-
 // Busy reports whether block is currently locked.
 func (g *Gate) Busy(block int64) bool {
 	st, ok := g.m[block]
@@ -57,6 +57,9 @@ func (g *Gate) Lock(block int64) {
 			g.free = g.free[:n-1]
 		} else {
 			st = &gateState{}
+		}
+		if g.m == nil {
+			g.m = make(map[int64]*gateState)
 		}
 		g.m[block] = st
 	}
@@ -131,6 +134,9 @@ func (g *Gate) BusyBlocks() []int64 {
 // RAC is the Remote Access Cache bookkeeping used when a sparse directory
 // replaces an entry (§7): it tracks, per block, how many invalidation
 // acknowledgements are still outstanding before the replacement completes.
+//
+// The zero value tracks nothing and is ready to use; its map is made by the
+// first Start.
 type RAC struct {
 	pending map[int64]int
 	peak    int
@@ -146,9 +152,6 @@ type RAC struct {
 	Anomaly func(op string, block int64)
 }
 
-// NewRAC returns an empty RAC.
-func NewRAC() *RAC { return &RAC{pending: make(map[int64]int)} }
-
 // Start begins tracking n outstanding acknowledgements for block. n must
 // be positive and the block must not already be tracked.
 func (r *RAC) Start(block int64, n int) {
@@ -157,6 +160,9 @@ func (r *RAC) Start(block int64, n int) {
 	}
 	if _, ok := r.pending[block]; ok {
 		r.anomaly("RAC.Start on already-tracked block", block)
+	}
+	if r.pending == nil {
+		r.pending = make(map[int64]int)
 	}
 	r.pending[block] = n
 	if len(r.pending) > r.peak {

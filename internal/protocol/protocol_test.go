@@ -53,7 +53,7 @@ func (ws *waiters) wait(g *Gate, block int64, fn func()) {
 func (ws *waiters) replay(ev sim.Event) { (*ws)[ev.Arg]() }
 
 func TestGateSerialization(t *testing.T) {
-	g := NewGate()
+	g := new(Gate)
 	if g.Busy(1) {
 		t.Fatal("fresh gate busy")
 	}
@@ -89,7 +89,7 @@ func TestGateSerialization(t *testing.T) {
 // TestGateReusesState: once warm, locking, queueing on and draining fresh
 // blocks allocates nothing — an idle block's state and queue are reused.
 func TestGateReusesState(t *testing.T) {
-	g := NewGate()
+	g := new(Gate)
 	replay := func(sim.Event) {}
 	block := int64(0)
 	cycle := func() {
@@ -111,7 +111,7 @@ func TestGateReusesState(t *testing.T) {
 }
 
 func TestGatePanics(t *testing.T) {
-	g := NewGate()
+	g := new(Gate)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -140,7 +140,7 @@ func TestGatePanics(t *testing.T) {
 }
 
 func TestRAC(t *testing.T) {
-	r := NewRAC()
+	r := new(RAC)
 	r.Start(10, 3)
 	if !r.Tracking(10) {
 		t.Fatal("should track block 10")
@@ -162,7 +162,7 @@ func TestRAC(t *testing.T) {
 }
 
 func TestRACPanics(t *testing.T) {
-	r := NewRAC()
+	r := new(RAC)
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -191,7 +191,7 @@ func TestRACPanics(t *testing.T) {
 }
 
 func TestLockBasicAcquireRelease(t *testing.T) {
-	lt := NewLockTable(core.Must(core.NewFullVector(8)))
+	lt := &LockTable{Scheme: core.Must(core.NewFullVector(8))}
 	granted, woken := lt.Acquire(100, 2, 20)
 	if !granted || woken != nil {
 		t.Fatal("free lock should grant immediately")
@@ -209,7 +209,7 @@ func TestLockBasicAcquireRelease(t *testing.T) {
 }
 
 func TestLockDirectGrantFullVector(t *testing.T) {
-	lt := NewLockTable(core.Must(core.NewFullVector(8)))
+	lt := &LockTable{Scheme: core.Must(core.NewFullVector(8))}
 	lt.Acquire(100, 0, 0)
 	if granted, _ := lt.Acquire(100, 3, 30); granted {
 		t.Fatal("held lock should queue")
@@ -229,7 +229,7 @@ func TestLockDirectGrantFullVector(t *testing.T) {
 }
 
 func TestLockMultipleProcsSameNode(t *testing.T) {
-	lt := NewLockTable(core.Must(core.NewFullVector(8)))
+	lt := &LockTable{Scheme: core.Must(core.NewFullVector(8))}
 	lt.Acquire(100, 0, 0)
 	lt.Acquire(100, 3, 30)
 	lt.Acquire(100, 3, 31)
@@ -246,7 +246,7 @@ func TestLockMultipleProcsSameNode(t *testing.T) {
 func TestLockCoarseRegionWake(t *testing.T) {
 	// Coarse vector with 1 pointer, region 2: two waiters overflow into
 	// coarse mode; release wakes a whole region.
-	lt := NewLockTable(core.Must(core.NewCoarseVector(1, 2, 8)))
+	lt := &LockTable{Scheme: core.Must(core.NewCoarseVector(1, 2, 8))}
 	lt.Acquire(100, 0, 0)
 	lt.Acquire(100, 4, 40)
 	lt.Acquire(100, 6, 60) // overflow: waiters now coarse {region 2, region 3}
@@ -270,7 +270,7 @@ func TestLockCoarseRegionWake(t *testing.T) {
 }
 
 func TestLockNBEvictionWakes(t *testing.T) {
-	lt := NewLockTable(core.Must(core.NewLimitedNoBroadcast(1, 8, core.VictimOldest, 1)))
+	lt := &LockTable{Scheme: core.Must(core.NewLimitedNoBroadcast(1, 8, core.VictimOldest, 1))}
 	lt.Acquire(100, 0, 0)
 	lt.Acquire(100, 1, 10)
 	_, woken := lt.Acquire(100, 2, 20) // evicts node 1 from waiter entry
@@ -280,7 +280,7 @@ func TestLockNBEvictionWakes(t *testing.T) {
 }
 
 func TestReleaseFreeLockPanics(t *testing.T) {
-	lt := NewLockTable(core.Must(core.NewFullVector(4)))
+	lt := &LockTable{Scheme: core.Must(core.NewFullVector(4))}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -329,7 +329,7 @@ func TestBarrierPanics(t *testing.T) {
 func TestQuickGateReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 200; trial++ {
-		g := NewGate()
+		g := new(Gate)
 		const block = int64(7)
 		var ws waiters
 		var ran []int
@@ -368,5 +368,49 @@ func TestQuickGateReference(t *testing.T) {
 			}
 			next++
 		}
+	}
+}
+
+// TestFreshTablesReadWithoutAllocating: a zero-value Gate, RAC and
+// LockTable answer every read without allocating or making a map, so a
+// machine can hold one of each per cluster and pay only for the clusters
+// that write to them.
+func TestFreshTablesReadWithoutAllocating(t *testing.T) {
+	var g Gate
+	var r RAC
+	lt := LockTable{Scheme: core.Must(core.NewFullVector(8))}
+	allocs := testing.AllocsPerRun(100, func() {
+		for b := int64(0); b < 8; b++ {
+			if g.Busy(b) || g.Pending(b) != 0 || r.Tracking(b) || r.Outstanding(b) != 0 || lt.Held(b) {
+				t.Fatalf("a fresh table reports state for block %d", b)
+			}
+		}
+		if g.BusyBlocks() != nil || r.TrackedBlocks() != nil || r.Peak() != 0 {
+			t.Fatal("a fresh table lists blocks")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reads of fresh tables allocate %v times", allocs)
+	}
+	if g.m != nil || r.pending != nil || lt.locks != nil {
+		t.Fatal("a read made a table's map")
+	}
+}
+
+// TestBarrierStateReused: a barrier address's state is kept across
+// episodes, so repeated episodes allocate nothing after the first.
+func TestBarrierStateReused(t *testing.T) {
+	bt := NewBarrierTable(4)
+	episode := func() {
+		for p := 0; p < 4; p++ {
+			rel := bt.Arrive(7, p)
+			if (rel != nil) != (p == 3) {
+				t.Fatalf("arrival %d: release %v", p, rel)
+			}
+		}
+	}
+	episode()
+	if a := testing.AllocsPerRun(50, episode); a != 0 {
+		t.Fatalf("a repeated barrier episode allocates %v times", a)
 	}
 }

@@ -7,8 +7,11 @@ import "dircoh/internal/core"
 // so the grant behaviour degrades exactly as the paper describes: a full
 // bit vector grants a single node; a coarse vector in coarse mode wakes a
 // whole region, whose nodes re-contend.
+//
+// The zero value with Scheme set is an empty table ready to use; its map
+// is made by the first Acquire.
 type LockTable struct {
-	scheme core.Scheme
+	Scheme core.Scheme // the scheme waiter sets use
 	locks  map[int64]*lockState
 }
 
@@ -19,15 +22,13 @@ type lockState struct {
 	waitProcs map[core.NodeID][]int // node -> procs blocked there
 }
 
-// NewLockTable returns a lock table whose waiter sets use scheme.
-func NewLockTable(scheme core.Scheme) *LockTable {
-	return &LockTable{scheme: scheme, locks: make(map[int64]*lockState)}
-}
-
 func (t *LockTable) state(addr int64) *lockState {
 	st, ok := t.locks[addr]
 	if !ok {
 		st = &lockState{waitProcs: make(map[core.NodeID][]int)}
+		if t.locks == nil {
+			t.locks = make(map[int64]*lockState)
+		}
 		t.locks[addr] = st
 	}
 	return st
@@ -51,7 +52,7 @@ func (t *LockTable) Acquire(addr int64, node core.NodeID, proc int) (granted boo
 		return true, nil
 	}
 	if st.waiters == nil {
-		st.waiters = t.scheme.NewEntry()
+		st.waiters = t.Scheme.NewEntry()
 	}
 	evicted := st.waiters.AddSharer(node)
 	st.waitProcs[node] = append(st.waitProcs[node], proc)
@@ -115,10 +116,13 @@ func (t *LockTable) TakeWaiters(addr int64, node core.NodeID) []int {
 }
 
 // BarrierTable implements a centralized barrier: each participant sends an
-// arrival to the barrier's home; the last arrival releases everyone.
+// arrival to the barrier's home; the last arrival releases everyone. A
+// finished episode's state is kept for the next one, so a run allocates
+// only while the number of barriers in progress at once reaches a new peak.
 type BarrierTable struct {
 	expected int
 	m        map[int64]*barrierState
+	free     []*barrierState // finished episodes' states, reused first
 }
 
 type barrierState struct {
@@ -135,17 +139,24 @@ func NewBarrierTable(n int) *BarrierTable {
 
 // Arrive records proc's arrival at the barrier at addr. When the last
 // participant arrives, the full list of procs to release is returned and
-// the barrier resets for reuse.
+// the barrier resets for reuse. The list is valid until the next Arrive.
 func (t *BarrierTable) Arrive(addr int64, proc int) (release []int) {
 	st, ok := t.m[addr]
 	if !ok {
-		st = &barrierState{}
+		if n := len(t.free); n > 0 {
+			st = t.free[n-1]
+			t.free = t.free[:n-1]
+		} else {
+			st = &barrierState{}
+		}
 		t.m[addr] = st
 	}
 	st.procs = append(st.procs, proc)
 	if len(st.procs) == t.expected {
 		release = st.procs
+		st.procs = st.procs[:0]
 		delete(t.m, addr)
+		t.free = append(t.free, st)
 	}
 	return release
 }

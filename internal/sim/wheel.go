@@ -6,7 +6,7 @@ package sim
 const DefaultWheelSlots = 256
 
 // witem is one bucketed event. A slot only ever holds events of one
-// timestamp (see Wheel), so its heap orders by key alone and the item
+// timestamp (see Wheel), so a slot orders by key alone and the item
 // carries no time.
 type witem struct {
 	key uint64
@@ -27,43 +27,38 @@ func oitemLess(a, b oitem) bool {
 	return a.key < b.key
 }
 
-// wpush adds it to the key-ordered min-heap h.
-func wpush(h []witem, it witem) []witem {
-	h = append(h, it)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[i].key >= h[p].key {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	return h
+// slot is one cycle's bucket: its events in ascending key order, of which
+// the first head have fired.
+type slot struct {
+	run  []witem
+	head int
 }
 
-// wpop removes and returns the minimum of the key-ordered min-heap h.
-func wpop(h []witem) (witem, []witem) {
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	i := 0
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < n && h[l].key < h[s].key {
-			s = l
-		}
-		if r < n && h[r].key < h[s].key {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
+// len returns the number of events in s not yet fired.
+func (s *slot) len() int { return len(s.run) - s.head }
+
+// push inserts it in key order. Keys mostly arrive ascending (each cluster
+// numbers its events in sequence), so the common push is an append; an
+// item with a smaller key shifts the larger ones up one place.
+func (s *slot) push(it witem) {
+	s.run = append(s.run, it)
+	i := len(s.run) - 1
+	for i > s.head && s.run[i-1].key > it.key {
+		s.run[i] = s.run[i-1]
+		i--
 	}
-	return top, h
+	s.run[i] = it
+}
+
+// pop removes and returns the smallest-key event of the non-empty slot s.
+// A drained slot rewinds, so its array serves the next revolution.
+func (s *slot) pop() witem {
+	it := s.run[s.head]
+	s.head++
+	if s.head == len(s.run) {
+		s.run, s.head = s.run[:0], 0
+	}
+	return it
 }
 
 // opush adds it to the (at, key)-ordered overflow min-heap h.
@@ -106,10 +101,12 @@ func opop(h []oitem) (oitem, []oitem) {
 }
 
 // Wheel is a timing-wheel scheduler: events within the wheel's horizon hash
-// into per-cycle slots (each slot a tiny heap), events beyond it wait in an
-// overflow heap and migrate in as time advances. Scheduling and firing are
-// O(log k) in the events sharing a timestamp, with no global heap, and
-// idle gaps are jumped by scanning at most one wheel revolution.
+// into per-cycle slots (each slot a key-ordered run), events beyond it wait
+// in an overflow heap and migrate in as time advances. Firing takes a
+// slot's head in O(1), however many events share the timestamp; scheduling
+// appends, or shifts the larger keys of its slot up one place. There is no
+// global heap, and idle gaps are jumped by scanning at most one wheel
+// revolution.
 //
 // A bucketed event lies less than one revolution ahead of now, so a slot
 // holds events of exactly one timestamp, and every event at now is in
@@ -120,7 +117,7 @@ func opop(h []oitem) (oitem, []oitem) {
 // were inserted in — the hook the machine core uses to order them by
 // scheduling cluster and per-cluster sequence.
 type Wheel struct {
-	slots  [][]witem // per-cycle buckets, each a key-ordered min-heap
+	slots  []slot // per-cycle buckets
 	mask   Time
 	now    Time
 	inSlot int // events currently bucketed
@@ -137,7 +134,7 @@ func NewWheel(slots int) *Wheel {
 	if slots&(slots-1) != 0 {
 		panic("sim: wheel slot count must be a power of two")
 	}
-	return &Wheel{slots: make([][]witem, slots), mask: Time(slots - 1)}
+	return &Wheel{slots: make([]slot, slots), mask: Time(slots - 1)}
 }
 
 // Now returns the current simulation time.
@@ -162,8 +159,7 @@ func (w *Wheel) AtKey(t Time, key uint64, ev Event) {
 		w.over = opush(w.over, oitem{at: t, key: key, ev: ev})
 		return
 	}
-	s := t & w.mask
-	w.slots[s] = wpush(w.slots[s], witem{key: key, ev: ev})
+	w.slots[t&w.mask].push(witem{key: key, ev: ev})
 	w.inSlot++
 }
 
@@ -175,8 +171,7 @@ func (w *Wheel) advance(t Time) {
 	for len(w.over) > 0 && w.over[0].at-t < horizon {
 		var it oitem
 		it, w.over = opop(w.over)
-		s := it.at & w.mask
-		w.slots[s] = wpush(w.slots[s], witem{key: it.key, ev: it.ev})
+		w.slots[it.at&w.mask].push(witem{key: it.key, ev: it.ev})
 		w.inSlot++
 	}
 }
@@ -187,7 +182,7 @@ func (w *Wheel) NextTime() (Time, bool) {
 		// Every bucketed event is within one revolution of now, so the
 		// scan terminates at the first non-empty slot.
 		for d := Time(0); d < Time(len(w.slots)); d++ {
-			if len(w.slots[(w.now+d)&w.mask]) > 0 {
+			if w.slots[(w.now+d)&w.mask].len() > 0 {
 				return w.now + d, true
 			}
 		}
@@ -205,8 +200,8 @@ func (w *Wheel) NextTime() (Time, bool) {
 // returns true if the queue drained, false if the deadline stopped it.
 func (w *Wheel) RunUntil(deadline Time, fire func(Event)) bool {
 	for {
-		s := w.now & w.mask
-		if len(w.slots[s]) == 0 {
+		s := &w.slots[w.now&w.mask]
+		if s.len() == 0 {
 			t, ok := w.NextTime()
 			if !ok {
 				return true
@@ -215,12 +210,11 @@ func (w *Wheel) RunUntil(deadline Time, fire func(Event)) bool {
 				return false
 			}
 			w.advance(t)
-			s = t & w.mask
+			s = &w.slots[t&w.mask]
 		} else if w.now > deadline {
 			return false
 		}
-		var it witem
-		it, w.slots[s] = wpop(w.slots[s])
+		it := s.pop()
 		w.inSlot--
 		w.fired++
 		fire(it.ev)

@@ -319,3 +319,44 @@ func BenchmarkWheelChurn(b *testing.B) {
 		w.RunUntil(math.MaxUint64, fire)
 	}
 }
+
+// TestWheelFloodReusesSlot: a flood of events at one timestamp scheduled in
+// shuffled key order (a barrier release fans out this way) fires in key
+// order, and a drained slot keeps its array, so the same flood a
+// revolution later allocates nothing.
+func TestWheelFloodReusesSlot(t *testing.T) {
+	const n = 64
+	keys := rand.New(rand.NewSource(1)).Perm(n)
+	w := NewWheel(0)
+	var fired []uint32
+	fire := func(ev Event) {
+		if ev.Stage == 1 { // the starter: the flood lands next cycle
+			for _, k := range keys {
+				w.AtKey(w.Now()+1, uint64(k+1), Event{Stage: 2, Arg: uint32(k)})
+			}
+			return
+		}
+		fired = append(fired, ev.Arg)
+	}
+	flood := func() {
+		fired = fired[:0]
+		// Every flood starts at the same wheel offset, so it uses one slot.
+		w.AtKey((w.Now()/DefaultWheelSlots+1)*DefaultWheelSlots, 0, Event{Stage: 1})
+		w.RunUntil(math.MaxUint64, fire)
+		if len(fired) != n {
+			t.Fatalf("fired %d events, want %d", len(fired), n)
+		}
+		for i, k := range fired {
+			if k != uint32(i) {
+				t.Fatalf("event %d fired key %d: not key order", i, k+1)
+			}
+		}
+	}
+	flood()
+	if a := testing.AllocsPerRun(100, flood); a != 0 {
+		t.Fatalf("a repeated flood allocates %v times", a)
+	}
+	if c := cap(w.slots[1].run); c > 2*n {
+		t.Fatalf("the flood's slot holds an array of %d events after 101 floods of %d", c, n)
+	}
+}

@@ -143,7 +143,8 @@ func ParsePolicy(name string) (ReplacePolicy, error) {
 }
 
 // FullMap is the non-sparse baseline: one (lazily materialized) entry per
-// memory block, never any replacement.
+// memory block, never any replacement. Its map is made by the first
+// Allocate, so a home that never tracks a block pays nothing.
 type FullMap struct {
 	scheme  core.Scheme
 	entries map[int64]core.Entry
@@ -154,7 +155,15 @@ type FullMap struct {
 // NewFullMap returns an unbounded directory using the given entry scheme,
 // recording into reg (nil creates a private registry).
 func NewFullMap(scheme core.Scheme, reg *obs.Registry) *FullMap {
-	return &FullMap{scheme: scheme, entries: make(map[int64]core.Entry), m: newDirMetrics(reg)}
+	d := new(FullMap)
+	d.Init(scheme, reg)
+	return d
+}
+
+// Init makes d, which may sit in a slice of directories, an empty
+// NewFullMap(scheme, reg).
+func (d *FullMap) Init(scheme core.Scheme, reg *obs.Registry) {
+	*d = FullMap{scheme: scheme, m: newDirMetrics(reg)}
 }
 
 // Lookup implements Directory.
@@ -175,6 +184,9 @@ func (d *FullMap) Allocate(block int64, _ uint64) (core.Entry, *Victim) {
 		return e, nil
 	}
 	e := d.scheme.NewEntry()
+	if d.entries == nil {
+		d.entries = make(map[int64]core.Entry)
+	}
 	d.entries[block] = e
 	if len(d.entries) > d.peak {
 		d.peak = len(d.entries)

@@ -41,6 +41,31 @@ func TestFullMapLookupAllocate(t *testing.T) {
 	}
 }
 
+// TestFreshFullMapReadsWithoutAllocating: a full map answers every read
+// without allocating or making its map until the first Allocate, so a
+// machine can hold one per cluster and pay only for the homes a run uses.
+func TestFreshFullMapReadsWithoutAllocating(t *testing.T) {
+	var d FullMap
+	d.Init(scheme(), nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		for b := int64(0); b < 8; b++ {
+			if d.Peek(b) != nil || d.Lookup(b, 1) != nil {
+				t.Fatalf("a fresh full map has an entry for block %d", b)
+			}
+			d.Release(b)
+		}
+		if d.LiveEntries() != 0 || d.PeakEntries() != 0 || d.Entries() != 0 || d.Stats().Allocations != 0 {
+			t.Fatal("a fresh full map reports entries")
+		}
+	})
+	if allocs != 0 || d.entries != nil {
+		t.Fatalf("reads of a fresh full map allocate %v times (map made: %v)", allocs, d.entries != nil)
+	}
+	if e, _ := d.Allocate(3, 1); e == nil || d.Peek(3) != e || d.LiveEntries() != 1 {
+		t.Fatal("the first Allocate did not install an entry")
+	}
+}
+
 func TestSparseBasicAllocate(t *testing.T) {
 	d := New(Config{Scheme: scheme(), Entries: 8, Assoc: 2, Policy: LRU})
 	if d.Entries() != 8 {

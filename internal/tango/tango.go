@@ -61,8 +61,9 @@ type Stream struct {
 	pos  int
 }
 
-// NewStream wraps a pre-generated reference slice.
-func NewStream(refs []Ref) *Stream { return &Stream{refs: refs} }
+// NewStream wraps a pre-generated reference slice. A Stream is a value, so
+// its owner can hold it inline.
+func NewStream(refs []Ref) Stream { return Stream{refs: refs} }
 
 // Next returns the next reference; ok is false when the stream is done.
 func (s *Stream) Next() (r Ref, ok bool) {
