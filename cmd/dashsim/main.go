@@ -8,12 +8,12 @@
 //	dashsim -app LocusRoute -scheme cv
 //	dashsim -app LU -scheme Dir4CV8 -sparse 64 -assoc 4 -policy rand -hist
 //	dashsim -app MP3D -procs 64 -ppc 4 -scheme full -trace-out mp3d.jsonl
+//	dashsim -app trace:lu8 -procs 8 -scheme cv
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 
 	"dircoh/internal/apps"
@@ -23,15 +23,13 @@ import (
 	"dircoh/internal/machine"
 	"dircoh/internal/sparse"
 	"dircoh/internal/stats"
-	"dircoh/internal/tango"
-	"dircoh/internal/trace"
 )
 
 const tool = "dashsim"
 
 func main() {
 	var (
-		app     = flag.String("app", "LocusRoute", "application: "+strings.Join(apps.All(), ", "))
+		app     = flag.String("app", "LocusRoute", "application: "+strings.Join(apps.All(), ", ")+", or trace:<dir> to replay a recorded trace (see cmd/tracegen)")
 		procs   = flag.Int("procs", 32, "total processors")
 		ppc     = flag.Int("ppc", 1, "processors per cluster")
 		scheme  = flag.String("scheme", "full", "directory scheme: full, cv, b, nb, x, or notation like Dir3CV2")
@@ -45,7 +43,6 @@ func main() {
 		hist    = flag.Bool("hist", false, "print the invalidation distribution")
 		lat     = flag.Bool("lat", false, "print read/write latency histograms")
 		seed    = flag.Int64("seed", 1, "simulation seed")
-		traceIn = flag.String("trace", "", "replay a trace file (see cmd/tracegen) instead of generating -app")
 	)
 	obsFlags := cli.NewObs(tool).EnableServer()
 	flag.Parse()
@@ -59,24 +56,13 @@ func main() {
 	if err != nil {
 		cli.Usagef(tool, "%v", err)
 	}
-	var w *tango.Workload
-	if *traceIn != "" {
-		tf, err := os.Open(*traceIn)
-		if err != nil {
-			cli.Fatalf(tool, "%v", err)
-		}
-		w, err = trace.Read(tf)
-		tf.Close()
-		if err != nil {
-			cli.Fatalf(tool, "%v", err)
-		}
-		*procs = w.Procs()
-	} else {
-		build, err := apps.Lookup(*app)
-		if err != nil {
-			cli.Usagef(tool, "%v", err)
-		}
-		w = build(*procs)
+	build, err := apps.Resolve(*app)
+	if err != nil {
+		cli.Usagef(tool, "%v", err)
+	}
+	w, err := build(*procs)
+	if err != nil {
+		cli.Fatalf(tool, "%v", err)
 	}
 	cli.Check(tool, obsFlags.Start())
 	defer obsFlags.Stop()
@@ -89,49 +75,18 @@ func main() {
 	if *sparseN > 0 {
 		cfg.Sparse = machine.SparseConfig{Entries: *sparseN, Assoc: *assoc, Policy: pol}
 	}
-	cfg.Trace = obsFlags.Tracer(w.Name)
-	cfg.Spans = obsFlags.Spans(w.Name)
-	cfg.SampleEvery = obsFlags.SampleEvery()
-	cfg.Mesh.Faults = obsFlags.Faults()
-	cfg.Deadline = obsFlags.Deadline()
-	if lv := obsFlags.Live(); lv != nil {
-		cfg.Live = lv.Run(w.Name)
-	}
-	if obsFlags.Checking() {
-		cfg.Check = true
-		cfg.CheckSink = obsFlags.CheckSink(w.Name)
-	}
-	m, err := machine.New(cfg)
+	// The session's one-run path wires every observer flag into the run
+	// and, when the run fails, still hands its trace, spans and metrics to
+	// the outputs: they show how the run got where it failed.
+	r, err := obsFlags.Session(1).RunConfigured(w.Name, w, cfg)
 	if err != nil {
 		cli.Fatalf(tool, "%v", err)
 	}
 
 	c := w.Characterize()
-	fmt.Printf("%s: %d procs (%d clusters), scheme %s\n", w.Name, *procs, cfg.Clusters(), m.Scheme().Name())
+	fmt.Printf("%s: %d procs (%d clusters), scheme %s\n", w.Name, cfg.Procs, cfg.Clusters(), r.Scheme)
 	fmt.Printf("shared refs: %d (%d reads, %d writes), sync ops: %d, shared data: %.1f KB\n",
 		c.SharedRefs, c.SharedReads, c.SharedWrites, c.SyncOps, float64(c.SharedBytes)/1024)
-
-	// A failed run still hands its trace, spans and metrics to the outputs
-	// before Fatalf stops them: they show how the run got where it failed.
-	fail := func(format string, args ...any) {
-		m.FlushTrace()
-		m.FlushSpans()
-		obsFlags.WriteMetrics(w.Name, m.MetricsSnapshot())
-		cli.Fatalf(tool, format, args...)
-	}
-	r, err := m.Run(w)
-	if err != nil {
-		fail("%v", err)
-	}
-	if err := m.CheckCoherence(); err != nil {
-		fail("coherence check failed: %v", err)
-	}
-	if err := m.CheckErr(); err != nil {
-		fail("%v (%d total; see -check-out for records)", err, m.ViolationCount())
-	}
-	cli.Check(tool, m.FlushTrace())
-	cli.Check(tool, m.FlushSpans())
-	obsFlags.WriteMetrics(w.Name, m.MetricsSnapshot())
 
 	fmt.Println()
 	fmt.Print(r.Summary())

@@ -37,7 +37,6 @@ import (
 	"syscall"
 	"time"
 
-	"dircoh/internal/apps"
 	"dircoh/internal/campaign"
 	"dircoh/internal/cli"
 	"dircoh/internal/obs"
@@ -220,12 +219,8 @@ func main() {
 		ckptEvery  = flag.Int("checkpoint-every", 8, "journal appends between checkpoint compactions")
 		parallel   = flag.Int("parallel", 0, "worker budget per campaign (0 = one per core)")
 		drainWait  = flag.Duration("drain-timeout", 2*time.Minute, "how long SIGTERM waits for in-flight jobs before exiting anyway")
-		traceDir   = flag.String("trace-dir", "", "directory the registered \"trace\" app replays (overrides the default)")
 	)
 	flag.Parse()
-	if *traceDir != "" {
-		apps.SetTraceDir(*traceDir)
-	}
 
 	m, err := campaign.Open(campaign.Config{
 		Root: *data, MaxActive: *maxActive, QueueDepth: *queue,

@@ -11,16 +11,16 @@ import (
 // processor count.
 type Factory func(procs int) *tango.Workload
 
-// UnknownAppError reports an application name that is not registered.
-// Valid lists every registered application so flag validation can
-// enumerate the choices.
+// UnknownAppError reports an application name that is neither registered
+// nor "trace:<dir>". Valid lists every registered application so flag
+// validation can enumerate the choices.
 type UnknownAppError struct {
 	Name  string
 	Valid []string
 }
 
 func (e *UnknownAppError) Error() string {
-	return fmt.Sprintf("unknown application %q (want one of %s)", e.Name, strings.Join(e.Valid, ", "))
+	return fmt.Sprintf("unknown application %q (want one of %s, or trace:<dir>)", e.Name, strings.Join(e.Valid, ", "))
 }
 
 // The package registry. Registration happens at init time; lookups after
@@ -69,6 +69,25 @@ func Lookup(name string) (Factory, error) {
 		return f, nil
 	}
 	return nil, &UnknownAppError{Name: name, Valid: All()}
+}
+
+// Build makes a workload for the given processor count.
+type Build func(procs int) (*tango.Workload, error)
+
+// Resolve is the one naming rule for workloads, shared by every command,
+// suite and campaign: a registered application (any case, or an alias)
+// builds at its default size, and "trace:<dir>" replays the per-core text
+// trace in dir (LoadTraceDir). Any other name is an *UnknownAppError.
+// Resolve reads no file, so a bad trace fails when it is built.
+func Resolve(name string) (Build, error) {
+	if dir, ok := strings.CutPrefix(name, "trace:"); ok && dir != "" {
+		return func(procs int) (*tango.Workload, error) { return LoadTraceDir(dir, procs) }, nil
+	}
+	f, err := Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	return func(procs int) (*tango.Workload, error) { return f(procs), nil }, nil
 }
 
 // ByName builds a default-sized workload by its paper name. It returns

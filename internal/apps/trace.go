@@ -10,29 +10,32 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dircoh/internal/tango"
 )
 
-// This file gives externally captured reference traces first-class
-// workload status: the "trace" application replays per-core text files in
-// the RD/WR format both SNIPPETS exemplar simulators consume, so traces
-// recorded elsewhere can run through every experiment driver and become
-// submittable campaign workloads.
+// This file holds the one reference-trace format, the paper's "Tango can
+// be used to generate multiprocessor reference traces" mode: WriteTraceDir
+// records a workload (cmd/tracegen), and the application name
+// "trace:<dir>" replays it through every command, suite and campaign
+// (Resolve).
 //
-// The on-disk layout follows the exemplars: a directory holding one file
-// per simulated processor, core_0.txt … core_<procs-1>.txt, each a list of
-// instructions:
+// The on-disk layout is the one both SNIPPETS exemplar simulators
+// consume: a directory holding one file per simulated processor,
+// core_0.txt … core_<procs-1>.txt, each that processor's references in
+// order:
 //
 //	RD <addr>          # shared-data load
 //	WR <addr> <value>  # shared-data store (the value is validated and
 //	                   # discarded — the simulator is reference-driven)
+//	LOCK <addr>        # acquire the lock at addr
+//	UNLOCK <addr>      # release a lock this processor holds
+//	BARRIER <addr>     # wait for every processor at the barrier at addr
 //
-// Addresses and values accept decimal or 0x-prefixed hex; an address must
-// lie in [0, MaxInt64 - tango.WordBytes]. Blank lines and lines starting
-// with '#' are skipped. Every line, comments included, must be shorter
-// than maxTraceLine (1 MiB).
+// Instructions are case-insensitive. Addresses and values accept decimal
+// or 0x-prefixed hex; an address must lie in [0, maxTraceAddr]. Blank
+// lines and lines starting with '#' are skipped. Every line, comments
+// included, must be shorter than maxTraceLine (1 MiB).
 
 // TraceParseError reports a malformed trace line with its position.
 type TraceParseError struct {
@@ -49,15 +52,39 @@ func (e *TraceParseError) Error() string {
 // parser buffer it whole.
 const maxTraceLine = 1 << 20
 
-// ParseTrace reads one core's RD/WR instruction stream. The name is used
-// in error messages only.
+// maxTraceAddr is the highest trace address: the workload's extent is the
+// highest address plus a word, which must still fit in an int64.
+const maxTraceAddr = math.MaxInt64 - tango.WordBytes
+
+// traceOps names every tango.Op as a trace instruction.
+var traceOps = [...]string{
+	tango.Read:    "RD",
+	tango.Write:   "WR",
+	tango.Lock:    "LOCK",
+	tango.Unlock:  "UNLOCK",
+	tango.Barrier: "BARRIER",
+}
+
+// traceOp returns the op a trace instruction names, in any case.
+func traceOp(instr string) (tango.Op, bool) {
+	for op, s := range traceOps {
+		if strings.EqualFold(s, instr) {
+			return tango.Op(op), true
+		}
+	}
+	return 0, false
+}
+
+// ParseTrace reads one core's instruction stream. The name is used in
+// error messages only.
 func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 	var refs []tango.Ref
+	held := make(map[int64]bool) // the locks this core holds
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), maxTraceLine)
 	lineNo := 0
-	fail := func(msg string) error {
-		return &TraceParseError{File: name, Line: lineNo, Msg: msg}
+	fail := func(format string, args ...any) error {
+		return &TraceParseError{File: name, Line: lineNo, Msg: fmt.Sprintf(format, args...)}
 	}
 	for sc.Scan() {
 		lineNo++
@@ -66,69 +93,122 @@ func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		op := strings.ToUpper(fields[0])
-		parseAddr := func(s string) (int64, error) {
-			addr, err := strconv.ParseInt(s, 0, 64)
-			if err != nil {
-				return 0, fail(fmt.Sprintf("bad address %q", s))
-			}
-			if addr < 0 {
-				return 0, fail(fmt.Sprintf("negative address %q", s))
-			}
-			// The workload's extent is the highest address plus a word,
-			// which must still fit in an int64.
-			if addr > math.MaxInt64-tango.WordBytes {
-				return 0, fail(fmt.Sprintf("address %q past the %d-byte address space", s, int64(math.MaxInt64-tango.WordBytes+1)))
-			}
-			return addr, nil
+		op, ok := traceOp(fields[0])
+		switch {
+		case !ok:
+			return nil, fail("unknown instruction %q (want RD, WR, LOCK, UNLOCK or BARRIER)", fields[0])
+		case op == tango.Write && len(fields) != 3:
+			return nil, fail("WR wants exactly two operands: WR <addr> <value>")
+		case op != tango.Write && len(fields) != 2:
+			return nil, fail("%s wants exactly one operand: %[1]s <addr>", traceOps[op])
+		}
+		addr, err := strconv.ParseInt(fields[1], 0, 64)
+		switch {
+		case err != nil:
+			return nil, fail("bad address %q", fields[1])
+		case addr < 0:
+			return nil, fail("negative address %q", fields[1])
+		case addr > maxTraceAddr:
+			return nil, fail("address %q past the %d-byte address space", fields[1], int64(maxTraceAddr+1))
 		}
 		switch op {
-		case "RD":
-			if len(fields) != 2 {
-				return nil, fail("RD wants exactly one operand: RD <addr>")
-			}
-			addr, err := parseAddr(fields[1])
-			if err != nil {
-				return nil, err
-			}
-			refs = append(refs, tango.Ref{Op: tango.Read, Addr: addr})
-		case "WR":
-			if len(fields) != 3 {
-				return nil, fail("WR wants exactly two operands: WR <addr> <value>")
-			}
-			addr, err := parseAddr(fields[1])
-			if err != nil {
-				return nil, err
-			}
+		case tango.Write:
 			if _, err := strconv.ParseInt(fields[2], 0, 64); err != nil {
-				return nil, fail(fmt.Sprintf("bad value %q", fields[2]))
+				return nil, fail("bad value %q", fields[2])
 			}
-			refs = append(refs, tango.Ref{Op: tango.Write, Addr: addr})
-		default:
-			return nil, fail(fmt.Sprintf("unknown instruction %q (want RD or WR)", fields[0]))
+		case tango.Lock:
+			held[addr] = true
+		case tango.Unlock:
+			// The machine cannot release a free lock, so an unpaired
+			// release is a bad trace, not a simulator fault.
+			if !held[addr] {
+				return nil, fail("UNLOCK %s of a lock this core does not hold", fields[1])
+			}
+			delete(held, addr)
 		}
+		refs = append(refs, tango.Ref{Op: op, Addr: addr})
 	}
 	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
 		lineNo++
-		return nil, fail(fmt.Sprintf("line of %d bytes or more", maxTraceLine))
+		return nil, fail("line of %d bytes or more", maxTraceLine)
 	} else if err != nil {
 		return nil, fmt.Errorf("trace %s: %w", name, err)
 	}
 	return refs, nil
 }
 
+// writeTrace writes refs as one core's trace, which ParseTrace reads back
+// to the same refs, and returns the bytes written. Addresses are hex; a
+// write's value is 0.
+func writeTrace(w io.Writer, refs []tango.Ref) (int64, error) {
+	bw := bufio.NewWriter(w)
+	var n int64
+	var line []byte
+	for _, r := range refs {
+		if int(r.Op) >= len(traceOps) || r.Addr < 0 || r.Addr > maxTraceAddr {
+			return n, fmt.Errorf("trace: no instruction for %v at %#x", r.Op, r.Addr)
+		}
+		line = append(line[:0], traceOps[r.Op]...)
+		line = append(line, " 0x"...)
+		line = strconv.AppendInt(line, r.Addr, 16)
+		if r.Op == tango.Write {
+			line = append(line, " 0"...)
+		}
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
+			return n, err
+		}
+		n += int64(len(line))
+	}
+	return n, bw.Flush()
+}
+
+// coreFile names processor p's trace file in dir.
+func coreFile(dir string, p int) string {
+	return filepath.Join(dir, "core_"+strconv.Itoa(p)+".txt")
+}
+
+// WriteTraceDir writes wl into dir, creating it if needed, as one
+// core_<p>.txt per stream, and returns the bytes written.
+func WriteTraceDir(dir string, wl *tango.Workload) (int64, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, err
+	}
+	var total int64
+	for p, refs := range wl.Streams {
+		f, err := os.Create(coreFile(dir, p))
+		if err != nil {
+			return total, err
+		}
+		n, err := writeTrace(f, refs)
+		total += n
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return total, fmt.Errorf("trace %s: core %d: %w", dir, p, err)
+		}
+	}
+	return total, nil
+}
+
 // LoadTraceDir builds a workload from dir's core_0.txt … core_<procs-1>.txt.
-// Every file up to procs must exist: a missing core is a hole in the
-// machine, not an idle processor, so it fails loudly. SharedBytes is the
-// extent of the touched address space.
+// The trace must have exactly procs cores: a missing core is a hole in
+// the machine, not an idle processor, and a core_<procs>.txt means a
+// larger trace whose other cores' references would be dropped, so both
+// fail loudly. SharedBytes is the extent of the touched address space.
 func LoadTraceDir(dir string, procs int) (*tango.Workload, error) {
 	if procs <= 0 {
 		return nil, fmt.Errorf("trace %s: procs must be positive (got %d)", dir, procs)
 	}
+	extra := coreFile(dir, procs)
+	if _, err := os.Stat(extra); err == nil {
+		return nil, fmt.Errorf("trace %s: %s exists: the trace has more than %d cores", dir, extra, procs)
+	}
 	wl := &tango.Workload{Name: "trace:" + filepath.Base(dir)}
 	var maxAddr int64 = -1
 	for p := 0; p < procs; p++ {
-		path := filepath.Join(dir, fmt.Sprintf("core_%d.txt", p))
+		path := coreFile(dir, p)
 		f, err := os.Open(path)
 		if err != nil {
 			return nil, fmt.Errorf("trace %s: core %d of %d: %w", dir, p, procs, err)
@@ -150,43 +230,4 @@ func LoadTraceDir(dir string, procs int) (*tango.Workload, error) {
 		wl.SharedBytes = 0
 	}
 	return wl, nil
-}
-
-// The directory the registered "trace" application replays. Guarded so
-// long-running services can point concurrent campaigns at a configured
-// default; per-run directories use the "trace:<dir>" app syntax instead.
-var (
-	traceDirMu sync.RWMutex
-	traceDir   = "examples/traces/pingpong"
-)
-
-// SetTraceDir points the registered "trace" application at dir and
-// returns the previous value.
-func SetTraceDir(dir string) string {
-	traceDirMu.Lock()
-	defer traceDirMu.Unlock()
-	prev := traceDir
-	traceDir = dir
-	return prev
-}
-
-// TraceDir returns the directory the registered "trace" application
-// replays.
-func TraceDir() string {
-	traceDirMu.RLock()
-	defer traceDirMu.RUnlock()
-	return traceDir
-}
-
-func init() {
-	// The registry factory signature cannot return an error; a bad trace
-	// directory panics with the parse error, which experiment supervisors
-	// (the campaign job runner) recover into typed failure records.
-	Register("trace", false, func(procs int) *tango.Workload {
-		wl, err := LoadTraceDir(TraceDir(), procs)
-		if err != nil {
-			panic(fmt.Sprintf("apps: %v", err))
-		}
-		return wl
-	})
 }

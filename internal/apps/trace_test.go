@@ -1,10 +1,12 @@
 package apps
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,6 +20,9 @@ WR 0x15 100
 RD 0x17
 rd 32
 wr 0x20 0x7f
+LOCK 0x100
+unlock 256
+Barrier 0x200
 `
 	refs, err := ParseTrace(strings.NewReader(in), "t")
 	if err != nil {
@@ -28,6 +33,9 @@ wr 0x20 0x7f
 		{Op: tango.Read, Addr: 0x17},
 		{Op: tango.Read, Addr: 32},
 		{Op: tango.Write, Addr: 0x20},
+		{Op: tango.Lock, Addr: 0x100},
+		{Op: tango.Unlock, Addr: 0x100},
+		{Op: tango.Barrier, Addr: 0x200},
 	}
 	if len(refs) != len(want) {
 		t.Fatalf("got %d refs, want %d", len(refs), len(want))
@@ -53,6 +61,12 @@ func TestParseTraceErrors(t *testing.T) {
 		{"RD 0x7fffffffffffffff", "past the"},
 		{"WR 0x7ffffffffffffff9 1", "past the"},
 		{"WR 0x10 many", `bad value "many"`},
+		{"LOCK", "exactly one operand"},
+		{"BARRIER 0x10 2", "exactly one operand"},
+		{"UNLOCK -8", "negative address"},
+		{"UNLOCK 0x10", `UNLOCK 0x10 of a lock this core does not hold`},
+		{"LOCK 0x10\nUNLOCK 0x18", "UNLOCK 0x18 of a lock"},
+		{"LOCK 0x10\nUNLOCK 0x10\nUNLOCK 0x10", "UNLOCK 0x10 of a lock"},
 	}
 	for _, c := range cases {
 		_, err := ParseTrace(strings.NewReader(c.in), "t")
@@ -63,8 +77,8 @@ func TestParseTraceErrors(t *testing.T) {
 		if !strings.Contains(pe.Error(), c.wantMsg) {
 			t.Errorf("%q: error %q lacks %q", c.in, pe.Error(), c.wantMsg)
 		}
-		if pe.Line != 1 {
-			t.Errorf("%q: line = %d, want 1", c.in, pe.Line)
+		if want := strings.Count(c.in, "\n") + 1; pe.Line != want {
+			t.Errorf("%q: line = %d, want %d", c.in, pe.Line, want)
 		}
 	}
 }
@@ -83,14 +97,18 @@ func TestParseTraceLongLine(t *testing.T) {
 	}
 }
 
-// FuzzParseTrace: the RD/WR parser never panics, every error it returns is
-// a *TraceParseError, every address it accepts leaves room for a word
-// before int64 overflows, and it returns one ref per RD or WR line.
+// FuzzParseTrace: the parser never panics, every error it returns is a
+// *TraceParseError, every address it accepts leaves room for a word
+// before int64 overflows, it returns one ref per instruction line, and
+// writing the refs back out parses to the same refs.
 func FuzzParseTrace(f *testing.F) {
 	f.Add("# ping-pong\nWR 0x15 100\nRD 0x17\n\nrd 32\nwr 0x20 0x7f\n")
 	f.Add("RD 0x7ffffffffffffff7\r\nWR 9223372036854775799 -1")
 	f.Add("RD 0x7fffffffffffffff\n")
 	f.Add("LD 0x10\nRD\nWR 1 2 3\n")
+	f.Add("LOCK 0x40\nWR 0x48 1\nUNLOCK 0x40\nBARRIER 0x80\nlock 64\nunlock 0x40\n")
+	f.Add("UNLOCK 0x40\nLOCK 0x40\n")
+	f.Add("LOCK 0x40\nLOCK 0x50\nUNLOCK 0x50\nUNLOCK 0x50\nBARRIER\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		refs, err := ParseTrace(strings.NewReader(in), "fuzz")
 		if err != nil {
@@ -103,19 +121,30 @@ func FuzzParseTrace(f *testing.F) {
 		instrs := 0
 		for _, l := range strings.Split(in, "\n") {
 			if fields := strings.Fields(l); len(fields) > 0 && !strings.HasPrefix(fields[0], "#") {
-				if op := strings.ToUpper(fields[0]); op != "RD" && op != "WR" {
+				if _, ok := traceOp(fields[0]); !ok {
 					t.Fatalf("accepted instruction %q", fields[0])
 				}
 				instrs++
 			}
 		}
 		if len(refs) != instrs {
-			t.Fatalf("%d refs from %d RD/WR lines", len(refs), instrs)
+			t.Fatalf("%d refs from %d instruction lines", len(refs), instrs)
 		}
 		for _, r := range refs {
 			if r.Addr < 0 || r.Addr > math.MaxInt64-tango.WordBytes {
 				t.Fatalf("accepted address %#x", r.Addr)
 			}
+		}
+		var buf bytes.Buffer
+		if _, err := writeTrace(&buf, refs); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		back, err := ParseTrace(&buf, "rewritten")
+		if err != nil {
+			t.Fatalf("rewritten trace: %v", err)
+		}
+		if !reflect.DeepEqual(back, refs) {
+			t.Fatalf("rewritten trace parses to %v, want %v", back, refs)
 		}
 	})
 }
@@ -150,6 +179,45 @@ func TestLoadTraceDir(t *testing.T) {
 	if wl.SharedBytes != 0x40+tango.WordBytes {
 		t.Fatalf("SharedBytes = %d, want %d", wl.SharedBytes, 0x40+tango.WordBytes)
 	}
+
+	// An idle processor is an empty core file, not a missing one.
+	idle := &tango.Workload{Streams: [][]tango.Ref{{{Op: tango.Read, Addr: 0x80}}, nil}}
+	dir = t.TempDir()
+	if _, err := WriteTraceDir(dir, idle); err != nil {
+		t.Fatal(err)
+	}
+	if wl, err = LoadTraceDir(dir, 2); err != nil || !reflect.DeepEqual(wl.Streams, idle.Streams) {
+		t.Fatalf("idle core replayed as %v, %v", wl, err)
+	}
+}
+
+// TestTraceRoundTripApps: every registered application written as a trace
+// reads back reference for reference, locks and barriers included, with an
+// extent no larger than the generator's allocation.
+func TestTraceRoundTripApps(t *testing.T) {
+	sizes := []int{8, 32}
+	if testing.Short() {
+		sizes = sizes[:1]
+	}
+	for _, name := range All() {
+		for _, procs := range sizes {
+			wl := ByName(name, procs)
+			dir := filepath.Join(t.TempDir(), name)
+			if _, err := WriteTraceDir(dir, wl); err != nil {
+				t.Fatal(err)
+			}
+			back, err := LoadTraceDir(dir, procs)
+			if err != nil {
+				t.Fatalf("%s at %d procs: %v", name, procs, err)
+			}
+			if !reflect.DeepEqual(back.Streams, wl.Streams) {
+				t.Errorf("%s at %d procs: replayed streams differ from the generated ones", name, procs)
+			}
+			if back.SharedBytes <= 0 || back.SharedBytes > wl.SharedBytes {
+				t.Errorf("%s at %d procs: SharedBytes %d, generated %d", name, procs, back.SharedBytes, wl.SharedBytes)
+			}
+		}
+	}
 }
 
 func TestLoadTraceDirMissingCore(t *testing.T) {
@@ -160,26 +228,11 @@ func TestLoadTraceDirMissingCore(t *testing.T) {
 	if _, err := LoadTraceDir(dir, 0); err == nil {
 		t.Fatal("want procs error")
 	}
-}
-
-// TestTraceAppRegistered: the "trace" app resolves through the registry
-// and replays the configured directory.
-func TestTraceAppRegistered(t *testing.T) {
-	dir := writeTraceDir(t, "RD 0x10\n", "WR 0x10 7\n")
-	prev := SetTraceDir(dir)
-	defer SetTraceDir(prev)
-	f, err := Lookup("trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wl := f(2)
-	if wl.Procs() != 2 || len(wl.Streams[0]) != 1 {
-		t.Fatalf("unexpected workload: procs=%d", wl.Procs())
-	}
-	// Extension apps are reachable by name but stay out of the paper set.
-	for _, name := range Names() {
-		if name == "trace" {
-			t.Fatal("trace leaked into the paper evaluation set")
-		}
+	// A core past procs means a larger trace: replaying a prefix of it
+	// would drop that core's references.
+	dir = writeTraceDir(t, "RD 0x10\n", "RD 0x20\n", "RD 0x30\n")
+	extra := filepath.Join(dir, "core_2.txt")
+	if _, err := LoadTraceDir(dir, 2); err == nil || !strings.Contains(err.Error(), extra) {
+		t.Fatalf("want an error naming %s, got %v", extra, err)
 	}
 }

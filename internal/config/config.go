@@ -10,6 +10,7 @@ import (
 	"io"
 	"strings"
 
+	"dircoh/internal/apps"
 	"dircoh/internal/cache"
 	"dircoh/internal/core"
 	"dircoh/internal/machine"
@@ -147,7 +148,7 @@ func (s *MachineSpec) Build() (machine.Config, error) {
 // RunSpec is one experiment: an application on a machine.
 type RunSpec struct {
 	Name    string      `json:"name"` // display label (default: app + scheme)
-	App     string      `json:"app"`  // LU | DWF | MP3D | LocusRoute | FFT
+	App     string      `json:"app"`  // LU | DWF | MP3D | LocusRoute | FFT | trace:<dir>
 	Machine MachineSpec `json:"machine"`
 }
 
@@ -156,7 +157,8 @@ type Suite struct {
 	Runs []RunSpec `json:"runs"`
 }
 
-// Load parses a suite from JSON, rejecting unknown fields and machines
+// Load parses a suite from JSON, rejecting unknown fields, applications
+// that apps.Resolve does not name (*apps.UnknownAppError) and machines
 // that do not build (an unknown scheme, policy or barrier) so typos fail
 // loudly before any run starts.
 func Load(r io.Reader) (*Suite, error) {
@@ -172,6 +174,9 @@ func Load(r io.Reader) (*Suite, error) {
 	for i := range s.Runs {
 		if s.Runs[i].App == "" {
 			return nil, fmt.Errorf("config: run %d has no app", i)
+		}
+		if _, err := apps.Resolve(s.Runs[i].App); err != nil {
+			return nil, fmt.Errorf("config: run %d: %w", i, err)
 		}
 		if _, err := s.Runs[i].Machine.Build(); err != nil {
 			return nil, fmt.Errorf("run %d: %w", i, err)

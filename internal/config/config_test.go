@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -81,6 +82,20 @@ func TestLoadErrors(t *testing.T) {
 		if _, err := Load(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
+	}
+}
+
+// TestLoadUnknownApp: an app that is neither registered nor trace:<dir>
+// fails the whole load with *apps.UnknownAppError, so no run starts; a
+// trace directory is read only when its run is built.
+func TestLoadUnknownApp(t *testing.T) {
+	_, err := Load(strings.NewReader(`{"runs":[{"app":"LU"},{"app":"lu.trace"}]}`))
+	var unknown *apps.UnknownAppError
+	if !errors.As(err, &unknown) || unknown.Name != "lu.trace" {
+		t.Fatalf("err = %v, want *apps.UnknownAppError naming lu.trace", err)
+	}
+	if _, err := Load(strings.NewReader(`{"runs":[{"app":"trace:no/such/dir"}]}`)); err != nil {
+		t.Fatalf("trace:<dir> rejected at load: %v", err)
 	}
 }
 

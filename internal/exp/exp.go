@@ -97,17 +97,18 @@ func (e *RunError) Error() string {
 func (e *RunError) Unwrap() error { return e.Err }
 
 func (s *Session) runWorkload(app string, w *tango.Workload, cfg machine.Config, label string) Run {
-	r, err := s.runConfigured(app+"/"+label, w, cfg)
+	r, err := s.RunConfigured(app+"/"+label, w, cfg)
 	if err != nil {
 		panic(err)
 	}
 	return Run{App: app, Label: label, Result: r}
 }
 
-// runConfigured executes one machine run under the session's observer and
-// returns a typed *RunError on any failure instead of panicking — the
-// error-propagating core runWorkload and ExecuteSpec share.
-func (s *Session) runConfigured(name string, w *tango.Workload, cfg machine.Config) (*machine.Result, error) {
+// RunConfigured executes one machine run of w on cfg under the session's
+// observer, labeled name in every observability stream, and returns a
+// typed *RunError on any failure instead of panicking — the
+// error-propagating core runWorkload, ExecuteSpec and cmd/dashsim share.
+func (s *Session) RunConfigured(name string, w *tango.Workload, cfg machine.Config) (*machine.Result, error) {
 	start := time.Now()
 	ob := s.Observer()
 	fail := func(stage string, err error) error {

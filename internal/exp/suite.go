@@ -1,44 +1,13 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"strings"
 
 	"dircoh/internal/apps"
 	"dircoh/internal/config"
 	"dircoh/internal/machine"
 	"dircoh/internal/stats"
-	"dircoh/internal/tango"
-	"dircoh/internal/trace"
 )
-
-// LoadWorkload resolves a suite entry's app field into a workload:
-//
-//   - a registered application name ("LU", "trace", ...),
-//   - "trace:<dir>" — a directory of per-core RD/WR text traces
-//     (apps.LoadTraceDir),
-//   - otherwise a binary trace file path produced by cmd/tracegen.
-func LoadWorkload(name string, procs int) (*tango.Workload, error) {
-	if dir, ok := strings.CutPrefix(name, "trace:"); ok {
-		return apps.LoadTraceDir(dir, procs)
-	}
-	build, lookupErr := apps.Lookup(name)
-	if lookupErr == nil {
-		return build(procs), nil
-	}
-	tf, err := os.Open(name)
-	if err != nil {
-		var unknown *apps.UnknownAppError
-		if errors.As(lookupErr, &unknown) {
-			return nil, fmt.Errorf("%w and no such trace file", lookupErr)
-		}
-		return nil, err
-	}
-	defer tf.Close()
-	return trace.Read(tf)
-}
 
 // ExecuteSpec builds and runs one declarative suite entry end to end
 // under the session's observer and deadline, returning the
@@ -50,11 +19,15 @@ func (s *Session) ExecuteSpec(run config.RunSpec) (*machine.Result, error) {
 	if err != nil {
 		return nil, &RunError{Run: run.Name, Stage: "build", Err: err}
 	}
-	w, err := LoadWorkload(run.App, cfg.Procs)
+	build, err := apps.Resolve(run.App)
 	if err != nil {
 		return nil, &RunError{Run: run.Name, Stage: "build", Err: err}
 	}
-	return s.runConfigured(run.Name, w, cfg)
+	w, err := build(cfg.Procs)
+	if err != nil {
+		return nil, &RunError{Run: run.Name, Stage: "build", Err: err}
+	}
+	return s.RunConfigured(run.Name, w, cfg)
 }
 
 // SuiteTableHeader is the column set of the suite comparison table, shared
