@@ -152,6 +152,17 @@ func TestSubmitErrors(t *testing.T) {
 		t.Fatalf("bad kind: %s", resp.Status)
 	}
 	resp.Body.Close()
+	// An unknown suite app: refused at submission, naming the app, not
+	// accepted and retried as a failing job.
+	resp = postSpec(t, ts, "", `{"kind":"suite","suite":{"runs":[{"app":"NoSuchApp"}]}}`)
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `unknown application "NoSuchApp"`) {
+		t.Fatalf("unknown app: %s %q", resp.Status, body.Error)
+	}
 	// Over the tenant job quota: 429 with a Retry-After hint.
 	resp = postSpec(t, ts, "greedy", `{"kind":"stress","stress":{"trials":50}}`)
 	if resp.StatusCode != http.StatusTooManyRequests {

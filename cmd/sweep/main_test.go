@@ -100,6 +100,15 @@ func TestSweepGoldenScaleSim(t *testing.T) {
 	checkGolden(t, "sweep_scale_sim.golden", got)
 }
 
+// TestSweepGoldenFigs3to10 locks `sweep -only 3-6,7-10` at the paper's 32
+// processors: every simulated number of Figures 3-10, so a change that
+// moves one fails here instead of passing unnoticed. About 1.3 s of CPU,
+// so it runs in short mode too.
+func TestSweepGoldenFigs3to10(t *testing.T) {
+	got := sweep(t, exp.NewSession(exp.Observer{}, 0), "3-6,7-10", 32, 1, exp.Plain)
+	checkGolden(t, "sweep_figs3_10.golden", got)
+}
+
 // TestSweepParallelismInvariant renders a simulation-backed section at
 // several pool widths and requires byte-identical output.
 func TestSweepParallelismInvariant(t *testing.T) {

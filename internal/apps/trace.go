@@ -169,8 +169,15 @@ func coreFile(dir string, p int) string {
 }
 
 // WriteTraceDir writes wl into dir, creating it if needed, as one
-// core_<p>.txt per stream, and returns the bytes written.
+// core_<p>.txt per stream, and returns the bytes written. It refuses,
+// before writing any file, a dir that holds a larger trace: overwriting
+// only its first cores would leave a trace LoadTraceDir loads at neither
+// size.
 func WriteTraceDir(dir string, wl *tango.Workload) (int64, error) {
+	extra := coreFile(dir, len(wl.Streams))
+	if _, err := os.Stat(extra); err == nil {
+		return 0, fmt.Errorf("trace %s: %s exists: the directory holds a trace of more than %d cores", dir, extra, len(wl.Streams))
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, err
 	}

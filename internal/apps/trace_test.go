@@ -236,3 +236,25 @@ func TestLoadTraceDirMissingCore(t *testing.T) {
 		t.Fatalf("want an error naming %s, got %v", extra, err)
 	}
 }
+
+// TestWriteTraceDirKeepsLargerTrace: writing a smaller trace over a larger
+// one fails, naming the first core file past the smaller trace, and writes
+// nothing, so the larger trace still loads unchanged.
+func TestWriteTraceDirKeepsLargerTrace(t *testing.T) {
+	dir := t.TempDir()
+	wl8 := ByName("FFT", 8)
+	if _, err := WriteTraceDir(dir, wl8); err != nil {
+		t.Fatal(err)
+	}
+	extra := filepath.Join(dir, "core_4.txt")
+	if n, err := WriteTraceDir(dir, ByName("FFT", 4)); err == nil || n != 0 || !strings.Contains(err.Error(), extra) {
+		t.Fatalf("4-core write over an 8-core trace = %d bytes, %v; want an error naming %s", n, err, extra)
+	}
+	got, err := LoadTraceDir(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Streams, wl8.Streams) {
+		t.Fatal("8-core trace changed after the refused 4-core write")
+	}
+}

@@ -4,7 +4,8 @@
 // silent drop of shared victims.
 //
 // Addresses are pre-divided block numbers: the machine layer converts byte
-// addresses to blocks before touching the caches.
+// addresses to blocks before touching the caches. A line packs its block
+// number into 62 bits, so block numbers lie in [-2^61, 2^61).
 package cache
 
 import (
@@ -38,14 +39,15 @@ func (s State) String() string {
 	}
 }
 
-// line is one cache way. Field order packs it into 24 bytes: the two
-// words, then the two bytes.
-type line struct {
-	block   int64
-	lastUse uint64
-	valid   bool
-	state   State
-}
+// line is one cache way packed into a word: block<<2 | state. A present
+// line is Shared or Dirty, so its word is never zero, and the zero word
+// is an invalid way.
+type line uint64
+
+func pack(block int64, st State) line { return line(uint64(block)<<2 | uint64(st)) }
+
+func (l line) block() int64 { return int64(l) >> 2 }
+func (l line) state() State { return State(l & 3) }
 
 // pageSets is how many consecutive sets a cache allocates at once, on the
 // first Fill into any of them. A run pays host memory only for the pages
@@ -67,6 +69,10 @@ type Cache struct {
 	// slab offset of its first line; 0 means the page was never filled.
 	pages []int32
 	lines []line
+	// use holds each line's LRU stamp, parallel to lines. Only a set of
+	// more than one way picks a victim by stamp, so a direct-mapped cache
+	// leaves it nil.
+	use []uint64
 }
 
 // GeometryError reports an impossible cache geometry — the typed form of
@@ -139,14 +145,15 @@ func (c *Cache) setIndex(block int64) uint {
 	return uint(uint64(block) % uint64(c.sets))
 }
 
-// set returns block's set, or nil if the set's page was never filled.
-func (c *Cache) set(block int64) []line {
+// set returns the slab offset of block's set, or -1 if the set's page was
+// never filled.
+func (c *Cache) set(block int64) int {
 	si := c.setIndex(block)
-	p := uint(c.pages[si/pageSets])
+	p := int(c.pages[si/pageSets])
 	if p == 0 {
-		return nil
+		return -1
 	}
-	return c.lines[p-1+si%pageSets*uint(c.assoc):][:c.assoc]
+	return p - 1 + int(si%pageSets)*c.assoc
 }
 
 // pageLines returns the number of lines page p holds: pageSets sets, or the
@@ -155,57 +162,74 @@ func (c *Cache) pageLines(p int) int {
 	return min(pageSets, c.sets-p*pageSets) * c.assoc
 }
 
-// allocSet allocates the page holding block's set and returns the set.
-func (c *Cache) allocSet(block int64) []line {
+// allocSet allocates the page holding block's set and returns the set's
+// slab offset.
+func (c *Cache) allocSet(block int64) int {
 	p := int(c.setIndex(block)) / pageSets
 	off, n := len(c.lines), c.pageLines(p)
 	if off+n > cap(c.lines) {
 		// Double the slab, but never past the whole geometry: a cache that
 		// touches every page ends with exactly its lines.
-		grown := make([]line, off, min(max(2*cap(c.lines), off+n), c.sets*c.assoc))
-		copy(grown, c.lines)
-		c.lines = grown
+		size := min(max(2*cap(c.lines), off+n), c.sets*c.assoc)
+		c.lines = append(make([]line, 0, size), c.lines...)
+		if c.assoc > 1 {
+			c.use = append(make([]uint64, 0, size), c.use...)
+		}
 	}
 	c.lines = c.lines[:off+n]
+	if c.assoc > 1 {
+		c.use = c.use[:off+n]
+	}
 	c.pages[p] = int32(off + 1)
 	return c.set(block)
 }
 
-// way returns the line of set holding block, or nil.
-func way(set []line, block int64) *line {
-	for i := range set {
-		if set[i].valid && set[i].block == block {
-			return &set[i]
+// way returns the slab index of the line holding block in the set at slab
+// offset off (-1 for a set never filled), or -1.
+func (c *Cache) way(off int, block int64) int {
+	if off < 0 {
+		return -1
+	}
+	for i, l := range c.lines[off : off+c.assoc] {
+		if l != 0 && l.block() == block {
+			return off + i
 		}
 	}
-	return nil
+	return -1
 }
 
-func (c *Cache) find(block int64) *line { return way(c.set(block), block) }
+func (c *Cache) find(block int64) int { return c.way(c.set(block), block) }
+
+// stamp records a use of the line at slab index i for LRU.
+func (c *Cache) stamp(i int, now uint64) {
+	if c.assoc > 1 {
+		c.use[i] = now
+	}
+}
 
 // State returns the line state for block (Invalid if absent).
 func (c *Cache) State(block int64) State {
-	if l := c.find(block); l != nil {
-		return l.state
+	if i := c.find(block); i >= 0 {
+		return c.lines[i].state()
 	}
 	return Invalid
 }
 
 // Touch refreshes the LRU position of block if present.
 func (c *Cache) Touch(block int64, now uint64) {
-	if l := c.find(block); l != nil {
-		l.lastUse = now
+	if i := c.find(block); i >= 0 {
+		c.stamp(i, now)
 	}
 }
 
-// SetState changes the state of a present line; it panics if absent, since
-// that indicates a protocol bug.
+// SetState changes the state of a present line to Shared or Dirty; it
+// panics if the line is absent, since that indicates a protocol bug.
 func (c *Cache) SetState(block int64, s State) {
-	l := c.find(block)
-	if l == nil {
+	i := c.find(block)
+	if i < 0 {
 		panic(fmt.Sprintf("cache: SetState(%d) on absent block", block))
 	}
-	l.state = s
+	c.lines[i] = pack(block, s)
 }
 
 // Victim describes a line displaced by Fill.
@@ -215,58 +239,67 @@ type Victim struct {
 	Dirty bool
 }
 
-// Fill installs block with state st, evicting the LRU line of the set if
-// needed, and returns the displaced victim (Victim.Valid false if a free
-// way was used). Filling an already-present block just updates its state.
+// Fill installs block with state st (Shared or Dirty), evicting the LRU
+// line of the set if needed, and returns the displaced victim
+// (Victim.Valid false if a free way was used). Filling an already-present
+// block just updates its state.
 func (c *Cache) Fill(block int64, st State, now uint64) Victim {
 	return c.fill(c.set(block), block, st, now)
 }
 
-// fill is Fill on block's set as c.set returned it (nil allocates its
-// page), so a caller that already looked the block up does not again.
-func (c *Cache) fill(set []line, block int64, st State, now uint64) Victim {
-	if set == nil {
-		set = c.allocSet(block)
+// fill is Fill on block's set at slab offset off as c.set returned it (-1
+// allocates its page), so a caller that already looked the block up does
+// not again.
+func (c *Cache) fill(off int, block int64, st State, now uint64) Victim {
+	if off < 0 {
+		off = c.allocSet(block)
 	}
+	set := c.lines[off : off+c.assoc]
 	vi := -1
-	for i := range set {
-		if !set[i].valid {
+	for i, l := range set {
+		if l == 0 {
 			if vi < 0 {
 				vi = i
 			}
-		} else if set[i].block == block {
-			set[i].state = st
-			set[i].lastUse = now
+		} else if l.block() == block {
+			set[i] = pack(block, st)
+			c.stamp(off+i, now)
 			return Victim{}
 		}
 	}
 	var v Victim
 	if vi < 0 {
+		// Every way is valid: evict the lowest stamp, ties to the lowest
+		// way. A direct-mapped set has one candidate.
 		vi = 0
-		for i := 1; i < len(set); i++ {
-			if set[i].lastUse < set[vi].lastUse {
-				vi = i
+		if c.assoc > 1 {
+			use := c.use[off : off+c.assoc]
+			for i := 1; i < len(use); i++ {
+				if use[i] < use[vi] {
+					vi = i
+				}
 			}
 		}
-		v = Victim{Valid: true, Block: set[vi].block, Dirty: set[vi].state == Dirty}
+		v = Victim{Valid: true, Block: set[vi].block(), Dirty: set[vi].state() == Dirty}
 	}
-	set[vi] = line{valid: true, block: block, state: st, lastUse: now}
+	set[vi] = pack(block, st)
+	c.stamp(off+vi, now)
 	return v
 }
 
 // Invalidate removes block and reports its previous presence and dirtiness.
 func (c *Cache) Invalidate(block int64) (present, dirty bool) {
-	if l := c.find(block); l != nil {
-		present, dirty = true, l.state == Dirty
-		l.valid = false
+	if i := c.find(block); i >= 0 {
+		present, dirty = true, c.lines[i].state() == Dirty
+		c.lines[i] = 0
 	}
 	return present, dirty
 }
 
 // Downgrade turns a Dirty line Shared, reporting whether it was dirty.
 func (c *Cache) Downgrade(block int64) (wasDirty bool) {
-	if l := c.find(block); l != nil && l.state == Dirty {
-		l.state = Shared
+	if i := c.find(block); i >= 0 && c.lines[i].state() == Dirty {
+		c.lines[i] = pack(block, Shared)
 		return true
 	}
 	return false
@@ -280,19 +313,19 @@ func (c *Cache) ForEach(fn func(block int64, st State)) {
 			continue
 		}
 		lo := int(c.pages[p]) - 1
-		for i := lo; i < lo+c.pageLines(p); i++ {
-			if c.lines[i].valid {
-				fn(c.lines[i].block, c.lines[i].state)
+		for _, l := range c.lines[lo : lo+c.pageLines(p)] {
+			if l != 0 {
+				fn(l.block(), l.state())
 			}
 		}
 	}
 }
 
-// Occupancy returns the number of valid lines (for tests).
+// Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
+	for _, l := range c.lines {
+		if l != 0 {
 			n++
 		}
 	}

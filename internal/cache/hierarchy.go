@@ -120,30 +120,30 @@ func (h *Hierarchy) Access(block int64, write bool, now uint64) AccessResult {
 	} else {
 		h.stats.Reads++
 	}
-	set1 := h.l1.set(block)
-	if l1 := way(set1, block); l1 != nil && usable(l1.state, write) {
+	s1 := h.l1.set(block)
+	if i := h.l1.way(s1, block); i >= 0 && usable(h.l1.lines[i].state(), write) {
 		h.stats.L1Hits++
-		l1.lastUse = now
-		// A one-way set never reads lastUse, so a direct-mapped L2 (the
+		h.l1.stamp(i, now)
+		// A one-way set never reads its stamps, so a direct-mapped L2 (the
 		// paper's geometry) skips its lookup.
 		if h.l2.assoc > 1 {
-			if l2 := h.l2.find(block); l2 != nil {
-				l2.lastUse = now
+			if j := h.l2.find(block); j >= 0 {
+				h.l2.use[j] = now
 			}
 		}
 		return Hit
 	}
-	l2 := h.l2.find(block)
+	j := h.l2.find(block)
 	st2 := Invalid
-	if l2 != nil {
-		st2 = l2.state
+	if j >= 0 {
+		st2 = h.l2.lines[j].state()
 	}
 	if usable(st2, write) {
 		h.stats.L2Hits++
-		l2.lastUse = now
+		h.l2.stamp(j, now)
 		// Refill L1 from L2 (inclusion guarantees L2 keeps the block;
 		// an L1 victim's dirtiness is already reflected in L2 state).
-		h.fillL1(set1, block, st2, now)
+		h.fillL1(s1, block, st2, now)
 		return Hit
 	}
 	if st2 == Shared && write {
@@ -154,10 +154,10 @@ func (h *Hierarchy) Access(block int64, write bool, now uint64) AccessResult {
 	return Miss
 }
 
-// fillL1 installs block in L1, whose set for it is set1 as Cache.set
-// returned it, folding any dirty victim state into L2.
-func (h *Hierarchy) fillL1(set1 []line, block int64, st State, now uint64) {
-	v := h.l1.fill(set1, block, st, now)
+// fillL1 installs block in L1, whose set for it is at slab offset s1 as
+// Cache.set returned it, folding any dirty victim state into L2.
+func (h *Hierarchy) fillL1(s1 int, block int64, st State, now uint64) {
+	v := h.l1.fill(s1, block, st, now)
 	if v.Valid && v.Dirty {
 		// Inclusion: the victim must still be in L2; record dirtiness.
 		h.l2.SetState(v.Block, Dirty)
@@ -195,6 +195,10 @@ func (h *Hierarchy) Invalidate(block int64) (present, dirty bool) {
 	p2, d2 := h.l2.Invalidate(block)
 	return p1 || p2, d1 || d2
 }
+
+// Occupancy returns the number of blocks present in the hierarchy: its
+// L2's valid lines, which ForEach visits.
+func (h *Hierarchy) Occupancy() int { return h.l2.Occupancy() }
 
 // ForEach calls fn for every block present in the hierarchy with its
 // authoritative (L2) state.

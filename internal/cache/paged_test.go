@@ -160,9 +160,18 @@ func TestForEachSetOrder(t *testing.T) {
 	}
 }
 
+// TestLinePacked: a line is one word, with the LRU stamps kept apart and
+// only for caches of more than one way.
 func TestLinePacked(t *testing.T) {
-	if s := unsafe.Sizeof(line{}); s != 24 {
-		t.Fatalf("line is %d bytes, want 24", s)
+	if s := unsafe.Sizeof(line(0)); s != 8 {
+		t.Fatalf("line is %d bytes, want 8", s)
+	}
+	direct, twoWay := NewCache(128*16, 16, 1), NewCache(128*16, 16, 2)
+	direct.Fill(5, Shared, 1)
+	twoWay.Fill(5, Shared, 1)
+	if direct.use != nil || len(twoWay.use) != len(twoWay.lines) {
+		t.Fatalf("stamps: direct-mapped %d, two-way %d for %d lines; want none and one a line",
+			len(direct.use), len(twoWay.use), len(twoWay.lines))
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dircoh/internal/apps"
 	"dircoh/internal/config"
 	"dircoh/internal/exp"
 )
@@ -78,6 +79,13 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if s2.Suite.Runs[0].Name != "LU/full" {
 		t.Fatalf("suite run name = %q", s2.Suite.Runs[0].Name)
+	}
+	// An unknown app is refused at submission with the typed error: every
+	// retry of it would fail the same way.
+	s3 := Spec{Kind: "suite", Suite: &config.Suite{Runs: []config.RunSpec{{App: "LU"}, {App: "NoSuchApp"}}}}
+	var ue *apps.UnknownAppError
+	if err := s3.Validate(); !errors.As(err, &ue) || ue.Name != "NoSuchApp" {
+		t.Fatalf("Validate() = %v, want an *apps.UnknownAppError naming NoSuchApp", err)
 	}
 }
 
@@ -219,7 +227,8 @@ func TestQuarantineStuck(t *testing.T) {
 }
 
 // TestRetryThenFail: ordinary job errors are retried JobRetries times
-// before the typed failure record is written.
+// before the typed failure record is written. A trace in a missing
+// directory passes validation, which reads no file, and fails at run time.
 func TestRetryThenFail(t *testing.T) {
 	var calls atomic.Int32
 	m, err := Open(Config{JobRetries: 2, JobRan: func(string, int) { calls.Add(1) }})
@@ -227,7 +236,8 @@ func TestRetryThenFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	suite := &config.Suite{Runs: []config.RunSpec{{Name: "bad", App: "NoSuchApp"}}}
+	missing := "trace:" + filepath.Join(t.TempDir(), "missing")
+	suite := &config.Suite{Runs: []config.RunSpec{{Name: "bad", App: missing}}}
 	c, err := m.Submit("", Spec{Kind: "suite", Suite: suite})
 	if err != nil {
 		t.Fatal(err)

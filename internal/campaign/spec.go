@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"time"
 
+	"dircoh/internal/apps"
 	"dircoh/internal/config"
 	"dircoh/internal/exp"
 	"dircoh/internal/stats"
@@ -100,6 +101,11 @@ func (s *Spec) Validate() error {
 			r := &s.Suite.Runs[i]
 			if r.App == "" {
 				return fmt.Errorf("campaign: suite run %d has no app", i)
+			}
+			// An unknown app fails every attempt the same way, so it is
+			// refused here instead of retried as a job.
+			if _, err := apps.Resolve(r.App); err != nil {
+				return fmt.Errorf("campaign: suite run %d: %w", i, err)
 			}
 			if r.Name == "" {
 				kind := r.Machine.Scheme.Kind

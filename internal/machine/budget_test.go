@@ -99,3 +99,43 @@ func TestRunBudget(t *testing.T) {
 		t.Fatalf("Run + CheckCoherence at %d clusters made %d allocations, budget %d", clusters, allocs, allocBudget)
 	}
 }
+
+// TestLURunBudget pins what running and checking Figure 7's LU under
+// Dir32 at 32 processors with the default caches allocates. A cache line
+// is one word, a direct-mapped cache keeps no LRU stamps, and
+// CheckCoherence sizes one holder buffer from the caches' occupancy, so
+// Run + CheckCoherence stays within 12 MB (24-byte lines and a holder
+// slice grown by append took 23.5 MB). CheckCoherence alone makes at most
+// 2 allocations: the holder buffer and the radix sort's scratch.
+func TestLURunBudget(t *testing.T) {
+	const budget = 12 << 20
+	const checkAllocs = 2
+	w := exp.Workload("LU", exp.Procs)
+	m, err := machine.New(machine.DefaultConfig(machine.FullVec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := m.Run(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckCoherence(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Run + CheckCoherence of LU Dir32 at %d processors: %.1f MB, %d allocations", exp.Procs,
+		float64(bytes)/(1<<20), after.Mallocs-before.Mallocs)
+	if bytes > budget {
+		t.Errorf("Run + CheckCoherence allocated %.1f MB, budget %d MB", float64(bytes)/(1<<20), budget>>20)
+	}
+	if a := testing.AllocsPerRun(3, func() {
+		if err := m.CheckCoherence(); err != nil {
+			t.Fatal(err)
+		}
+	}); a > checkAllocs {
+		t.Errorf("CheckCoherence made %v allocations, budget %d", a, checkAllocs)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"dircoh/internal/obs"
 	"dircoh/internal/sim"
 	"dircoh/internal/sparse"
+	"dircoh/internal/tango"
 )
 
 // SchemeFactory builds a directory entry scheme for a given cluster count.
@@ -217,8 +218,11 @@ func (c *Config) Validate() error {
 	if c.Procs%c.ProcsPerCluster != 0 {
 		return fmt.Errorf("machine: Procs (%d) not divisible by ProcsPerCluster (%d)", c.Procs, c.ProcsPerCluster)
 	}
-	if c.Block <= 0 {
-		return fmt.Errorf("machine: Block must be positive")
+	if c.Block < tango.WordBytes {
+		// A reference is one word, so a smaller block would split it. A
+		// line also packs its block number into 62 bits, which addresses
+		// up to 2^63 hold only at 8 or more bytes a block.
+		return fmt.Errorf("machine: Block (%d) must be at least one %d-byte word", c.Block, tango.WordBytes)
 	}
 	if c.Scheme == nil {
 		return fmt.Errorf("machine: Scheme factory is required")

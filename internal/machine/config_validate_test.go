@@ -27,6 +27,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero procs", "Procs", mut(func(c *Config) { c.Procs = 0 })},
 		{"indivisible clustering", "divisible", mut(func(c *Config) { c.ProcsPerCluster = 3 })},
 		{"zero block", "Block", mut(func(c *Config) { c.Block = 0; c.Cache = cache.Config{} })},
+		{"sub-word block", "Block (4)", mut(func(c *Config) { c.Block = 4; c.Cache = cache.Config{} })},
 		{"nil scheme", "Scheme", mut(func(c *Config) { c.Scheme = nil })},
 		{"sparse+overflow", "mutually exclusive", mut(func(c *Config) {
 			c.Sparse = SparseConfig{Entries: 4}
