@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -139,7 +140,8 @@ func TestSubmitRunFetch(t *testing.T) {
 }
 
 func TestSubmitErrors(t *testing.T) {
-	ts, _ := newTestServer(t, campaign.Config{TenantJobs: 4})
+	var ran atomic.Int32
+	ts, _ := newTestServer(t, campaign.Config{TenantJobs: 4, JobRan: func(string, int) { ran.Add(1) }})
 	// Malformed JSON.
 	resp := postSpec(t, ts, "", `{"kind":`)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -163,6 +165,16 @@ func TestSubmitErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `unknown application "NoSuchApp"`) {
 		t.Fatalf("unknown app: %s %q", resp.Status, body.Error)
 	}
+	// So is a suite machine that does not build.
+	resp = postSpec(t, ts, "", `{"kind":"suite","suite":{"runs":[{"app":"FFT","machine":{"scheme":{"kind":"nope"}}}]}}`)
+	body.Error = ""
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, `unknown scheme "nope"`) {
+		t.Fatalf("unknown scheme: %s %q", resp.Status, body.Error)
+	}
 	// Over the tenant job quota: 429 with a Retry-After hint.
 	resp = postSpec(t, ts, "greedy", `{"kind":"stress","stress":{"trials":50}}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -182,6 +194,9 @@ func TestSubmitErrors(t *testing.T) {
 			t.Fatalf("GET %s: %s", path, r.Status)
 		}
 		r.Body.Close()
+	}
+	if n := ran.Load(); n != 0 {
+		t.Fatalf("%d jobs ran, want none: every submission was refused", n)
 	}
 }
 

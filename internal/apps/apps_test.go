@@ -17,7 +17,7 @@ func TestLUPivotReadByAll(t *testing.T) {
 	for q := 0; q < procs; q++ {
 		found := false
 		for _, r := range w.Streams[q] {
-			if r.Op == tango.Read && r.Addr < 8*tango.WordBytes {
+			if r.Op() == tango.Read && r.Addr() < 8*tango.WordBytes {
 				found = true
 				break
 			}
@@ -49,11 +49,11 @@ func TestDWFPatternReadOnlyAndShared(t *testing.T) {
 	for q, s := range w.Streams {
 		reads := 0
 		for _, r := range s {
-			if r.Addr < patEnd {
-				if r.Op == tango.Write {
+			if r.Addr() < patEnd {
+				if r.Op() == tango.Write {
 					t.Fatalf("proc %d writes the read-only pattern", q)
 				}
-				if r.Op == tango.Read {
+				if r.Op() == tango.Read {
 					reads++
 				}
 			}
@@ -120,7 +120,7 @@ func TestLocusRouteLocksBalanced(t *testing.T) {
 	for q, s := range w.Streams {
 		depth := 0
 		for _, r := range s {
-			switch r.Op {
+			switch r.Op() {
 			case tango.Lock:
 				depth++
 			case tango.Unlock:
@@ -145,10 +145,10 @@ func TestLocusRouteRegionsShared(t *testing.T) {
 	byRegion := map[int64]map[int]bool{}
 	for q, s := range w.Streams {
 		for _, r := range s {
-			if r.Addr >= gridEnd || r.Op.IsSync() {
+			if r.Addr() >= gridEnd || r.Op().IsSync() {
 				continue
 			}
-			region := r.Addr / (int64(cfg.RegionWords) * tango.WordBytes)
+			region := r.Addr() / (int64(cfg.RegionWords) * tango.WordBytes)
 			if byRegion[region] == nil {
 				byRegion[region] = map[int]bool{}
 			}
@@ -230,7 +230,7 @@ func TestFFTPairwiseSharing(t *testing.T) {
 	for q, s := range w.Streams {
 		foreign := false
 		for _, r := range s {
-			if r.Op == tango.Read && (r.Addr < int64(q)*per || r.Addr >= int64(q+1)*per) {
+			if r.Op() == tango.Read && (r.Addr() < int64(q)*per || r.Addr() >= int64(q+1)*per) {
 				foreign = true
 				break
 			}

@@ -2,14 +2,15 @@ package apps
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"dircoh/internal/tango"
 )
@@ -53,8 +54,8 @@ func (e *TraceParseError) Error() string {
 const maxTraceLine = 1 << 20
 
 // maxTraceAddr is the highest trace address: the workload's extent is the
-// highest address plus a word, which must still fit in an int64.
-const maxTraceAddr = math.MaxInt64 - tango.WordBytes
+// highest address plus a word, which must still be a reference address.
+const maxTraceAddr = tango.MaxAddr - tango.WordBytes
 
 // traceOps names every tango.Op as a trace instruction.
 var traceOps = [...]string{
@@ -66,13 +67,50 @@ var traceOps = [...]string{
 }
 
 // traceOp returns the op a trace instruction names, in any case.
-func traceOp(instr string) (tango.Op, bool) {
+func traceOp(instr []byte) (tango.Op, bool) {
 	for op, s := range traceOps {
-		if strings.EqualFold(s, instr) {
+		if bytes.EqualFold(instr, []byte(s)) {
 			return tango.Op(op), true
 		}
 	}
 	return 0, false
+}
+
+// asciiSpace marks the bytes strings.Fields splits an ASCII line at.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// traceFields splits line at white space as strings.Fields does, keeps
+// its first len(f) fields in f and returns the number of fields. An ASCII
+// line splits in place, without allocating; a line holding a byte ≥ 0x80
+// goes through strings.Fields, which also splits at Unicode white space.
+func traceFields(line []byte, f *[3][]byte) int {
+	n, start := 0, -1
+	for i, c := range line {
+		switch {
+		case c >= utf8.RuneSelf:
+			fs := strings.Fields(string(line))
+			for j := 0; j < len(fs) && j < len(f); j++ {
+				f[j] = []byte(fs[j])
+			}
+			return len(fs)
+		case asciiSpace[c]:
+			if start >= 0 {
+				if n < len(f) {
+					f[n] = line[start:i]
+				}
+				n, start = n+1, -1
+			}
+		case start < 0:
+			start = i
+		}
+	}
+	if start >= 0 {
+		if n < len(f) {
+			f[n] = line[start:]
+		}
+		n++
+	}
+	return n
 }
 
 // ParseTrace reads one core's instruction stream. The name is used in
@@ -86,23 +124,25 @@ func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 	fail := func(format string, args ...any) error {
 		return &TraceParseError{File: name, Line: lineNo, Msg: fmt.Sprintf(format, args...)}
 	}
+	var fields [3][]byte // the line's first three fields
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		n := traceFields(sc.Bytes(), &fields)
+		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
 		op, ok := traceOp(fields[0])
 		switch {
 		case !ok:
 			return nil, fail("unknown instruction %q (want RD, WR, LOCK, UNLOCK or BARRIER)", fields[0])
-		case op == tango.Write && len(fields) != 3:
+		case op == tango.Write && n != 3:
 			return nil, fail("WR wants exactly two operands: WR <addr> <value>")
-		case op != tango.Write && len(fields) != 2:
+		case op != tango.Write && n != 2:
 			return nil, fail("%s wants exactly one operand: %[1]s <addr>", traceOps[op])
 		}
-		addr, err := strconv.ParseInt(fields[1], 0, 64)
+		// A string conversion that does not escape is not copied to the
+		// heap, so base-0 syntax stays strconv's at no allocation.
+		addr, err := strconv.ParseInt(string(fields[1]), 0, 64)
 		switch {
 		case err != nil:
 			return nil, fail("bad address %q", fields[1])
@@ -113,7 +153,7 @@ func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 		}
 		switch op {
 		case tango.Write:
-			if _, err := strconv.ParseInt(fields[2], 0, 64); err != nil {
+			if _, err := strconv.ParseInt(string(fields[2]), 0, 64); err != nil {
 				return nil, fail("bad value %q", fields[2])
 			}
 		case tango.Lock:
@@ -126,7 +166,7 @@ func ParseTrace(r io.Reader, name string) ([]tango.Ref, error) {
 			}
 			delete(held, addr)
 		}
-		refs = append(refs, tango.Ref{Op: op, Addr: addr})
+		refs = append(refs, tango.MakeRef(op, addr))
 	}
 	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
 		lineNo++
@@ -145,13 +185,14 @@ func writeTrace(w io.Writer, refs []tango.Ref) (int64, error) {
 	var n int64
 	var line []byte
 	for _, r := range refs {
-		if int(r.Op) >= len(traceOps) || r.Addr < 0 || r.Addr > maxTraceAddr {
-			return n, fmt.Errorf("trace: no instruction for %v at %#x", r.Op, r.Addr)
+		op, addr := r.Op(), r.Addr()
+		if int(op) >= len(traceOps) || addr > maxTraceAddr {
+			return n, fmt.Errorf("trace: no instruction for %v", r)
 		}
-		line = append(line[:0], traceOps[r.Op]...)
+		line = append(line[:0], traceOps[op]...)
 		line = append(line, " 0x"...)
-		line = strconv.AppendInt(line, r.Addr, 16)
-		if r.Op == tango.Write {
+		line = strconv.AppendInt(line, addr, 16)
+		if op == tango.Write {
 			line = append(line, " 0"...)
 		}
 		line = append(line, '\n')
@@ -226,9 +267,7 @@ func LoadTraceDir(dir string, procs int) (*tango.Workload, error) {
 			return nil, perr
 		}
 		for _, r := range refs {
-			if r.Addr > maxAddr {
-				maxAddr = r.Addr
-			}
+			maxAddr = max(maxAddr, r.Addr())
 		}
 		wl.Streams = append(wl.Streams, refs)
 	}

@@ -1,12 +1,16 @@
 package apps
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -29,20 +33,20 @@ Barrier 0x200
 		t.Fatal(err)
 	}
 	want := []tango.Ref{
-		{Op: tango.Write, Addr: 0x15},
-		{Op: tango.Read, Addr: 0x17},
-		{Op: tango.Read, Addr: 32},
-		{Op: tango.Write, Addr: 0x20},
-		{Op: tango.Lock, Addr: 0x100},
-		{Op: tango.Unlock, Addr: 0x100},
-		{Op: tango.Barrier, Addr: 0x200},
+		tango.MakeRef(tango.Write, 0x15),
+		tango.MakeRef(tango.Read, 0x17),
+		tango.MakeRef(tango.Read, 32),
+		tango.MakeRef(tango.Write, 0x20),
+		tango.MakeRef(tango.Lock, 0x100),
+		tango.MakeRef(tango.Unlock, 0x100),
+		tango.MakeRef(tango.Barrier, 0x200),
 	}
 	if len(refs) != len(want) {
 		t.Fatalf("got %d refs, want %d", len(refs), len(want))
 	}
 	for i := range want {
 		if refs[i] != want[i] {
-			t.Errorf("ref %d = %+v, want %+v", i, refs[i], want[i])
+			t.Errorf("ref %d = %v, want %v", i, refs[i], want[i])
 		}
 	}
 }
@@ -60,6 +64,10 @@ func TestParseTraceErrors(t *testing.T) {
 		{"RD -8", "negative address"},
 		{"RD 0x7fffffffffffffff", "past the"},
 		{"WR 0x7ffffffffffffff9 1", "past the"},
+		{"RD 0x1ffffffffffffff7\nRD 0x1ffffffffffffff8", "address \"0x1ffffffffffffff8\" past the 2305843009213693944-byte address space"},
+		{"RD\u00a00x10\nRD 0x1\u00e9", "bad address \"0x1\u00e9\""},
+		{"RD 0x10\n\u00e9 0x10", "unknown instruction \"\u00e9\""},
+		{"RD\u30000x10 5", "exactly one operand"},
 		{"WR 0x10 many", `bad value "many"`},
 		{"LOCK", "exactly one operand"},
 		{"BARRIER 0x10 2", "exactly one operand"},
@@ -97,10 +105,128 @@ func TestParseTraceLongLine(t *testing.T) {
 	}
 }
 
+// traceRef is a reference as parseTraceReference returns it: an op
+// beside an address of the whole int64 range.
+type traceRef struct {
+	op   tango.Op
+	addr int64
+}
+
+// parseTraceReference is ParseTrace before it parsed in place: a string
+// per line and a strings.Fields split, which allocate for every line.
+// Only the address bound is a parameter; at maxTraceAddr it must agree
+// with ParseTrace on every input, refs and errors alike.
+func parseTraceReference(r io.Reader, name string, maxAddr int64) ([]traceRef, error) {
+	var refs []traceRef
+	held := make(map[int64]bool) // the locks this core holds
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), maxTraceLine)
+	lineNo := 0
+	fail := func(format string, args ...any) error {
+		return &TraceParseError{File: name, Line: lineNo, Msg: fmt.Sprintf(format, args...)}
+	}
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		fields := strings.Fields(line)
+		op, ok := traceOpReference(fields[0])
+		switch {
+		case !ok:
+			return nil, fail("unknown instruction %q (want RD, WR, LOCK, UNLOCK or BARRIER)", fields[0])
+		case op == tango.Write && len(fields) != 3:
+			return nil, fail("WR wants exactly two operands: WR <addr> <value>")
+		case op != tango.Write && len(fields) != 2:
+			return nil, fail("%s wants exactly one operand: %[1]s <addr>", traceOps[op])
+		}
+		addr, err := strconv.ParseInt(fields[1], 0, 64)
+		switch {
+		case err != nil:
+			return nil, fail("bad address %q", fields[1])
+		case addr < 0:
+			return nil, fail("negative address %q", fields[1])
+		case addr > maxAddr:
+			return nil, fail("address %q past the %d-byte address space", fields[1], maxAddr+1)
+		}
+		switch op {
+		case tango.Write:
+			if _, err := strconv.ParseInt(fields[2], 0, 64); err != nil {
+				return nil, fail("bad value %q", fields[2])
+			}
+		case tango.Lock:
+			held[addr] = true
+		case tango.Unlock:
+			if !held[addr] {
+				return nil, fail("UNLOCK %s of a lock this core does not hold", fields[1])
+			}
+			delete(held, addr)
+		}
+		refs = append(refs, traceRef{op, addr})
+	}
+	if err := sc.Err(); errors.Is(err, bufio.ErrTooLong) {
+		lineNo++
+		return nil, fail("line of %d bytes or more", maxTraceLine)
+	} else if err != nil {
+		return nil, fmt.Errorf("trace %s: %w", name, err)
+	}
+	return refs, nil
+}
+
+// traceOpReference is traceOp before it took bytes.
+func traceOpReference(instr string) (tango.Op, bool) {
+	for op, s := range traceOps {
+		if strings.EqualFold(s, instr) {
+			return tango.Op(op), true
+		}
+	}
+	return 0, false
+}
+
+// TestParseTraceBoundMoved: at the old bound, 2^63 - 9, the reference
+// parser accepts addresses from 2^61 - 8 up to it, and ParseTrace rejects
+// them; FuzzParseTrace holds the two equal on everything else.
+func TestParseTraceBoundMoved(t *testing.T) {
+	const oldMax = math.MaxInt64 - tango.WordBytes
+	for _, in := range []string{"RD 0x1ffffffffffffff8", "WR 0x7ffffffffffffff7 1", "LOCK 4611686018427387904"} {
+		if _, err := parseTraceReference(strings.NewReader(in), "t", oldMax); err != nil {
+			t.Errorf("reference at the old bound rejects %q: %v", in, err)
+		}
+		var pe *TraceParseError
+		if _, err := ParseTrace(strings.NewReader(in), "t"); !errors.As(err, &pe) || !strings.Contains(pe.Msg, "past the") {
+			t.Errorf("ParseTrace(%q) = %v, want a past-the-address-space error", in, err)
+		}
+	}
+	refs, err := ParseTrace(strings.NewReader("WR 0x1ffffffffffffff7 1"), "t")
+	if err != nil || len(refs) != 1 || refs[0] != tango.MakeRef(tango.Write, maxTraceAddr) {
+		t.Fatalf("ParseTrace at the bound = %v, %v", refs, err)
+	}
+}
+
+// TestParseTraceAllocs: parsing allocates for the growing ref slice, not
+// for each line.
+func TestParseTraceAllocs(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 1024; i++ {
+		fmt.Fprintf(&b, "RD 0x%x\nwr %d 7\nLOCK 0x40\nUNLOCK 64\n", 8*i, 16*i)
+	}
+	in := b.String()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := ParseTrace(strings.NewReader(in), "t"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Fatalf("parsing 4,096 lines made %.0f allocations, want at most 40", allocs)
+	}
+}
+
 // FuzzParseTrace: the parser never panics, every error it returns is a
-// *TraceParseError, every address it accepts leaves room for a word
-// before int64 overflows, it returns one ref per instruction line, and
-// writing the refs back out parses to the same refs.
+// *TraceParseError, it agrees with parseTraceReference (the same refs, or
+// the same error message and line), every address it accepts leaves room
+// for a word below tango.MaxAddr, it returns one ref per instruction line,
+// and writing the refs back out parses to the same refs.
 func FuzzParseTrace(f *testing.F) {
 	f.Add("# ping-pong\nWR 0x15 100\nRD 0x17\n\nrd 32\nwr 0x20 0x7f\n")
 	f.Add("RD 0x7ffffffffffffff7\r\nWR 9223372036854775799 -1")
@@ -109,8 +235,14 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("LOCK 0x40\nWR 0x48 1\nUNLOCK 0x40\nBARRIER 0x80\nlock 64\nunlock 0x40\n")
 	f.Add("UNLOCK 0x40\nLOCK 0x40\n")
 	f.Add("LOCK 0x40\nLOCK 0x50\nUNLOCK 0x50\nUNLOCK 0x50\nBARRIER\n")
+	f.Add("RD 0x1ffffffffffffff7\r\nWR 2305843009213693943 -1\nRD 0x1ffffffffffffff8\n")
+	f.Add("RD\u00a00x10\nLOC\u212a 0x40\n\u2003wr\t0x48\v1 \n# \u00e9\nUNLOCK\u30000o100\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		refs, err := ParseTrace(strings.NewReader(in), "fuzz")
+		want, werr := parseTraceReference(strings.NewReader(in), "fuzz", maxTraceAddr)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("error %v, reference %v", err, werr)
+		}
 		if err != nil {
 			var pe *TraceParseError
 			if !errors.As(err, &pe) {
@@ -118,10 +250,18 @@ func FuzzParseTrace(f *testing.F) {
 			}
 			return
 		}
+		if len(refs) != len(want) {
+			t.Fatalf("%d refs, reference %d", len(refs), len(want))
+		}
+		for i, r := range refs {
+			if (traceRef{r.Op(), r.Addr()}) != want[i] {
+				t.Fatalf("ref %d = %v, reference %v", i, r, want[i])
+			}
+		}
 		instrs := 0
 		for _, l := range strings.Split(in, "\n") {
 			if fields := strings.Fields(l); len(fields) > 0 && !strings.HasPrefix(fields[0], "#") {
-				if _, ok := traceOp(fields[0]); !ok {
+				if _, ok := traceOp([]byte(fields[0])); !ok {
 					t.Fatalf("accepted instruction %q", fields[0])
 				}
 				instrs++
@@ -131,8 +271,8 @@ func FuzzParseTrace(f *testing.F) {
 			t.Fatalf("%d refs from %d instruction lines", len(refs), instrs)
 		}
 		for _, r := range refs {
-			if r.Addr < 0 || r.Addr > math.MaxInt64-tango.WordBytes {
-				t.Fatalf("accepted address %#x", r.Addr)
+			if r.Addr() > tango.MaxAddr-tango.WordBytes {
+				t.Fatalf("accepted address %#x", r.Addr())
 			}
 		}
 		var buf bytes.Buffer
@@ -181,7 +321,7 @@ func TestLoadTraceDir(t *testing.T) {
 	}
 
 	// An idle processor is an empty core file, not a missing one.
-	idle := &tango.Workload{Streams: [][]tango.Ref{{{Op: tango.Read, Addr: 0x80}}, nil}}
+	idle := &tango.Workload{Streams: [][]tango.Ref{{tango.MakeRef(tango.Read, 0x80)}, nil}}
 	dir = t.TempDir()
 	if _, err := WriteTraceDir(dir, idle); err != nil {
 		t.Fatal(err)

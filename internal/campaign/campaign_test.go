@@ -87,6 +87,12 @@ func TestSpecValidate(t *testing.T) {
 	if err := s3.Validate(); !errors.As(err, &ue) || ue.Name != "NoSuchApp" {
 		t.Fatalf("Validate() = %v, want an *apps.UnknownAppError naming NoSuchApp", err)
 	}
+	// So is a machine that does not build.
+	s4 := Spec{Kind: "suite", Suite: &config.Suite{Runs: []config.RunSpec{{App: "LU"},
+		{App: "LU", Machine: config.MachineSpec{Scheme: config.SchemeSpec{Kind: "nope"}}}}}}
+	if err := s4.Validate(); err == nil || !strings.Contains(err.Error(), `suite run 1: config: unknown scheme "nope"`) {
+		t.Fatalf("Validate() = %v, want the unknown scheme of run 1", err)
+	}
 }
 
 // TestSpecRejectsUnknownSection: a sweep spec whose -only list names an

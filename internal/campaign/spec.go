@@ -102,9 +102,13 @@ func (s *Spec) Validate() error {
 			if r.App == "" {
 				return fmt.Errorf("campaign: suite run %d has no app", i)
 			}
-			// An unknown app fails every attempt the same way, so it is
-			// refused here instead of retried as a job.
+			// An unknown app or a machine that does not build fails every
+			// attempt the same way, so it is refused here instead of
+			// retried as a job.
 			if _, err := apps.Resolve(r.App); err != nil {
+				return fmt.Errorf("campaign: suite run %d: %w", i, err)
+			}
+			if _, err := r.Machine.Build(); err != nil {
 				return fmt.Errorf("campaign: suite run %d: %w", i, err)
 			}
 			if r.Name == "" {

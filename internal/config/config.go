@@ -142,6 +142,9 @@ func (s *MachineSpec) Build() (machine.Config, error) {
 	}
 	cfg.Mesh.PortTime = sim.Time(s.PortTime)
 	cfg.Seed = s.Seed
+	if err := cfg.Validate(); err != nil {
+		return machine.Config{}, err
+	}
 	return cfg, nil
 }
 
@@ -159,8 +162,9 @@ type Suite struct {
 
 // Load parses a suite from JSON, rejecting unknown fields, applications
 // that apps.Resolve does not name (*apps.UnknownAppError) and machines
-// that do not build (an unknown scheme, policy or barrier) so typos fail
-// loudly before any run starts.
+// that do not build (an unknown scheme, policy or barrier, or a geometry
+// machine.Config.Validate refuses) so typos fail loudly before any run
+// starts.
 func Load(r io.Reader) (*Suite, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()

@@ -85,6 +85,21 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadValidatesMachine: a machine that builds but that
+// machine.Config.Validate refuses fails the whole load, naming the run and
+// the fault, so no earlier run starts before it.
+func TestLoadValidatesMachine(t *testing.T) {
+	cases := map[string]string{
+		`{"runs":[{"app":"FFT"},{"app":"FFT","machine":{"block":4}}]}`: "run 1: machine: Block (4) must be at least one 8-byte word",
+		`{"runs":[{"app":"FFT","machine":{"cache":{"l1Assoc":3}}}]}`:   "not divisible into 3-way sets",
+	}
+	for src, want := range cases {
+		if _, err := Load(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Load(%s) = %v, want an error containing %q", src, err, want)
+		}
+	}
+}
+
 // TestLoadUnknownApp: an app that is neither registered nor trace:<dir>
 // fails the whole load with *apps.UnknownAppError, so no run starts; a
 // trace directory is read only when its run is built.

@@ -139,3 +139,25 @@ func TestLURunBudget(t *testing.T) {
 		t.Errorf("CheckCoherence made %v allocations, budget %d", a, checkAllocs)
 	}
 }
+
+// TestLUBuildBudget pins what generating Figure 7's LU at 32 processors
+// allocates. A reference is one 8-byte word, so the streams and the
+// copies their append growth leaves behind stay within 36 MB; 16-byte
+// references took 66.6 MB.
+func TestLUBuildBudget(t *testing.T) {
+	const budget = 36 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	w := exp.WorkloadSeeded("LU", 32, 7)
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	var refs int
+	for _, s := range w.Streams {
+		refs += len(s)
+	}
+	t.Logf("LU at 32 processors: %d references, %.1f MB allocated", refs, float64(bytes)/(1<<20))
+	if bytes > budget {
+		t.Errorf("building LU at 32 processors allocated %.1f MB, budget %d MB", float64(bytes)/(1<<20), budget>>20)
+	}
+}

@@ -220,8 +220,8 @@ func (c *Config) Validate() error {
 	}
 	if c.Block < tango.WordBytes {
 		// A reference is one word, so a smaller block would split it. A
-		// line also packs its block number into 62 bits, which addresses
-		// up to 2^63 hold only at 8 or more bytes a block.
+		// reference address lies below 2^61 (tango.MaxAddr), so its block
+		// number fits the 62 bits a packed cache line keeps at any block.
 		return fmt.Errorf("machine: Block (%d) must be at least one %d-byte word", c.Block, tango.WordBytes)
 	}
 	if c.Scheme == nil {

@@ -73,7 +73,7 @@ func TestRunReleasesEveryRecord(t *testing.T) {
 // their lines in.
 func TestCheckCoherenceReportsLowestBlock(t *testing.T) {
 	m, _ := mustRun(t, testConfig(4, FullVec), wl(
-		[]tango.Ref{{Op: tango.Write, Addr: addr(40)}},
+		[]tango.Ref{tango.MakeRef(tango.Write, addr(40))},
 		nil, nil, nil,
 	))
 	if err := m.CheckCoherence(); err != nil {

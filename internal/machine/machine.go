@@ -535,16 +535,16 @@ func (m *Machine) stepProc(p *proc) {
 		m.finishProc(p)
 		return
 	}
-	switch ref.Op {
+	switch op, addr := ref.Op(), ref.Addr(); op {
 	case tango.Read:
-		m.access(p, false, ref.Addr)
+		m.access(p, false, addr)
 	case tango.Write:
-		m.access(p, true, ref.Addr)
+		m.access(p, true, addr)
 	case tango.Lock, tango.Unlock, tango.Barrier:
-		p.syncOp, p.syncAddr = ref.Op, ref.Addr
+		p.syncOp, p.syncAddr = op, addr
 		m.fence(p)
 	default:
-		panic(fmt.Sprintf("machine: unknown op %v", ref.Op))
+		panic(fmt.Sprintf("machine: unknown op %v", op))
 	}
 }
 

@@ -49,11 +49,47 @@ func (o Op) String() string {
 // IsSync reports whether the op is a synchronization operation.
 func (o Op) IsSync() bool { return o == Lock || o == Unlock || o == Barrier }
 
-// Ref is one shared reference: an operation on a byte address.
-type Ref struct {
-	Op   Op
-	Addr int64
+// Ref is one shared reference, an operation on a byte address, packed in
+// one word: the op in the top 3 bits and the address in the low 61. A
+// workload's streams are the largest data a run keeps from start to end,
+// so a reference keeps only the bits the machine reads.
+type Ref uint64
+
+// addrBits is the width of a Ref's address field.
+const addrBits = 61
+
+// MaxAddr is the highest byte address a Ref holds.
+const MaxAddr = 1<<addrBits - 1
+
+// MakeRef packs op and addr into one Ref. It panics on an unknown op or an address
+// outside [0, MaxAddr]: only a generator bug produces either, and the
+// trace parser rejects such input before building a Ref.
+func MakeRef(op Op, addr int64) Ref {
+	if op > Barrier || uint64(addr) > MaxAddr {
+		panic(badRef{op, addr})
+	}
+	return Ref(uint64(op)<<addrBits | uint64(addr))
 }
+
+// badRef is MakeRef's panic value. Building its message only when the
+// panic prints keeps MakeRef small enough to inline into every Builder
+// append.
+type badRef struct {
+	op   Op
+	addr int64
+}
+
+func (b badRef) Error() string {
+	return fmt.Sprintf("tango: no reference for %v at %#x (addresses lie in [0, %#x])", b.op, b.addr, int64(MaxAddr))
+}
+
+// Op returns the reference's operation.
+func (r Ref) Op() Op { return Op(r >> addrBits) }
+
+// Addr returns the reference's byte address.
+func (r Ref) Addr() int64 { return int64(r & MaxAddr) }
+
+func (r Ref) String() string { return fmt.Sprintf("%v %#x", r.Op(), r.Addr()) }
 
 // Stream is a per-processor reference sequence, consumed in order.
 type Stream struct {
@@ -68,7 +104,7 @@ func NewStream(refs []Ref) Stream { return Stream{refs: refs} }
 // Next returns the next reference; ok is false when the stream is done.
 func (s *Stream) Next() (r Ref, ok bool) {
 	if s.pos >= len(s.refs) {
-		return Ref{}, false
+		return 0, false
 	}
 	r = s.refs[s.pos]
 	s.pos++
@@ -107,7 +143,7 @@ func (w *Workload) Characterize() Characteristics {
 	c.SharedBytes = w.SharedBytes
 	for _, s := range w.Streams {
 		for _, r := range s {
-			switch r.Op {
+			switch r.Op() {
 			case Read:
 				c.SharedRefs++
 				c.SharedReads++
@@ -189,19 +225,19 @@ type Builder struct {
 }
 
 // Read appends a read of addr.
-func (b *Builder) Read(addr int64) { b.refs = append(b.refs, Ref{Op: Read, Addr: addr}) }
+func (b *Builder) Read(addr int64) { b.refs = append(b.refs, MakeRef(Read, addr)) }
 
 // Write appends a write of addr.
-func (b *Builder) Write(addr int64) { b.refs = append(b.refs, Ref{Op: Write, Addr: addr}) }
+func (b *Builder) Write(addr int64) { b.refs = append(b.refs, MakeRef(Write, addr)) }
 
 // Lock appends a lock acquire of addr.
-func (b *Builder) Lock(addr int64) { b.refs = append(b.refs, Ref{Op: Lock, Addr: addr}) }
+func (b *Builder) Lock(addr int64) { b.refs = append(b.refs, MakeRef(Lock, addr)) }
 
 // Unlock appends a lock release of addr.
-func (b *Builder) Unlock(addr int64) { b.refs = append(b.refs, Ref{Op: Unlock, Addr: addr}) }
+func (b *Builder) Unlock(addr int64) { b.refs = append(b.refs, MakeRef(Unlock, addr)) }
 
 // Barrier appends a barrier arrival at addr.
-func (b *Builder) Barrier(addr int64) { b.refs = append(b.refs, Ref{Op: Barrier, Addr: addr}) }
+func (b *Builder) Barrier(addr int64) { b.refs = append(b.refs, MakeRef(Barrier, addr)) }
 
 // ReadRange appends reads of words [lo, hi) of region r.
 func (b *Builder) ReadRange(r Region, lo, hi int64) {

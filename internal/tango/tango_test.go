@@ -1,8 +1,10 @@
 package tango
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestOpString(t *testing.T) {
@@ -27,7 +29,7 @@ func TestIsSync(t *testing.T) {
 }
 
 func TestStream(t *testing.T) {
-	refs := []Ref{{Read, 0}, {Write, 8}, {Barrier, 16}}
+	refs := []Ref{MakeRef(Read, 0), MakeRef(Write, 8), MakeRef(Barrier, 16)}
 	s := NewStream(refs)
 	if s.Len() != 3 || s.Remaining() != 3 {
 		t.Fatal("length wrong")
@@ -44,6 +46,44 @@ func TestStream(t *testing.T) {
 	if s.Remaining() != 0 {
 		t.Fatal("Remaining should be 0")
 	}
+}
+
+// TestRefPacked pins the one-word reference: every op round-trips at the
+// ends of the address field, and MakeRef refuses what the word cannot hold.
+func TestRefPacked(t *testing.T) {
+	if n := unsafe.Sizeof(Ref(0)); n != 8 {
+		t.Fatalf("a Ref takes %d bytes, want 8", n)
+	}
+	for op := Read; op <= Barrier; op++ {
+		for _, addr := range []int64{0, 1, 1 << 32, MaxAddr} {
+			r := MakeRef(op, addr)
+			if r.Op() != op || r.Addr() != addr {
+				t.Errorf("MakeRef(%v, %#x) reads back as %v %#x", op, addr, r.Op(), r.Addr())
+			}
+		}
+	}
+	if got, want := MakeRef(Write, 0x40).String(), "write 0x40"; got != want {
+		t.Errorf("String() = %q, want %q", got, want)
+	}
+	for _, bad := range []struct {
+		op   Op
+		addr int64
+	}{{Read, MaxAddr + 1}, {Barrier, 1 << 62}, {Write, -8}, {Barrier + 1, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("MakeRef(%v, %#x) did not panic", bad.op, bad.addr)
+				}
+			}()
+			MakeRef(bad.op, bad.addr)
+		}()
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); msg != "tango: no reference for write at 0x2000000000000000 (addresses lie in [0, 0x1fffffffffffffff])" {
+			t.Errorf("panic message %q", msg)
+		}
+	}()
+	MakeRef(Write, MaxAddr+1)
 }
 
 func TestAllocatorAlignment(t *testing.T) {
