@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"dircoh/internal/obs"
 )
 
 // Rule identifies one checked invariant class.
@@ -121,22 +123,24 @@ type LineWriter interface {
 //	{"run":"LU/Dir32","check":"dir.coverage","t":412,"node":3,"block":97,"tx":12,"detail":"..."}
 type jsonlSink struct {
 	w   LineWriter
-	run string
+	run string // the encoded `"run":<label>,` member; "" omits it
 }
 
 // NewJSONLSink returns a sink writing one JSON object per violation
 // through w, tagged with the given run label (empty omits the field).
 func NewJSONLSink(w LineWriter, run string) Sink {
-	return &jsonlSink{w: w, run: run}
+	s := &jsonlSink{w: w}
+	if run != "" {
+		s.run = `"run":` + obs.JSONString(run) + ","
+	}
+	return s
 }
 
+// WriteViolation encodes the detail as JSON; rule names are fixed
+// identifiers, so they are quoted as they are.
 func (s *jsonlSink) WriteViolation(v Violation) error {
-	if s.run != "" {
-		return s.w.WriteLine(fmt.Sprintf(`{"run":%q,"check":%q,"t":%d,"node":%d,"block":%d,"tx":%d,"detail":%q}`,
-			s.run, v.Rule.String(), v.Cycle, v.Node, v.Block, v.Tx, v.Detail))
-	}
-	return s.w.WriteLine(fmt.Sprintf(`{"check":%q,"t":%d,"node":%d,"block":%d,"tx":%d,"detail":%q}`,
-		v.Rule.String(), v.Cycle, v.Node, v.Block, v.Tx, v.Detail))
+	return s.w.WriteLine(fmt.Sprintf(`{%s"check":"%s","t":%d,"node":%d,"block":%d,"tx":%d,"detail":%s}`,
+		s.run, v.Rule, v.Cycle, v.Node, v.Block, v.Tx, obs.JSONString(v.Detail)))
 }
 
 // writerSink writes one line per violation straight to an io.Writer

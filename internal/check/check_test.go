@@ -303,3 +303,22 @@ func TestSpanAckGatherOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestJSONLSinkEncodesStrings: run labels and details holding control
+// bytes, DEL or invalid UTF-8 give records that decode, with both strings
+// round-tripping (invalid UTF-8 as U+FFFD).
+func TestJSONLSinkEncodesStrings(t *testing.T) {
+	for _, s := range []string{"bell\arun", "nul\x00", "tab\vv", "del\x7f", "bad\xffutf8"} {
+		buf := &lineBuf{}
+		if err := NewJSONLSink(buf, s).WriteViolation(Violation{Rule: RuleAck, Detail: s}); err != nil {
+			t.Fatal(err)
+		}
+		var rec struct{ Run, Detail string }
+		if err := json.Unmarshal([]byte(buf.lines[0]), &rec); err != nil {
+			t.Fatalf("%q: record %q: %v", s, buf.lines[0], err)
+		}
+		if want := strings.ToValidUTF8(s, "\uFFFD"); rec.Run != want || rec.Detail != want {
+			t.Fatalf("%q decoded as run %q, detail %q", s, rec.Run, rec.Detail)
+		}
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"net/http"
 	httppprof "net/http/pprof"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sync"
@@ -145,9 +146,12 @@ type Obs struct {
 	faultSpec   string
 	deadline    time.Duration
 
-	sink      *obs.JSONLSink
-	spanSink  *obs.JSONLSink
-	checkSink *obs.JSONLSink
+	// The JSONL streams' writers, one per file (see outputs): flags that
+	// name one file share its writer.
+	traceOut *obs.JSONLSink
+	spanOut  *obs.JSONLSink
+	checkOut *obs.JSONLSink
+	streams  []*obs.JSONLSink
 
 	serverOn bool      // EnableServer was called (the -pprof flag exists)
 	live     *obs.Live // live-run registry the server reads; nil until Start
@@ -168,9 +172,9 @@ type Obs struct {
 func NewObs(tool string) *Obs {
 	o := &Obs{tool: tool}
 	flag.StringVar(&o.tracePath, "trace-out", "", "write a JSONL coherence-event trace to this file ('-' for stdout)")
-	flag.StringVar(&o.spanPath, "span-out", "", "write JSONL transaction spans to this file ('-' for stdout; may equal -trace-out to interleave both streams)")
+	flag.StringVar(&o.spanPath, "span-out", "", "write JSONL transaction spans to this file ('-' for stdout; may name the -trace-out file to interleave both streams)")
 	flag.BoolVar(&o.checkOn, "check", false, "run the coherence invariant checker alongside the simulation; violations go to stderr (or -check-out) and fail the command")
-	flag.StringVar(&o.checkPath, "check-out", "", "write JSONL invariant-violation records to this file ('-' for stdout; may equal -trace-out/-span-out to interleave; implies -check)")
+	flag.StringVar(&o.checkPath, "check-out", "", "write JSONL invariant-violation records to this file ('-' for stdout; may name the -trace-out/-span-out file to interleave; implies -check)")
 	flag.Uint64Var(&o.sampleEvery, "sample-every", 0, "sample queue depths every N cycles into histograms (0 disables)")
 	flag.StringVar(&o.metricsPath, "metrics", "", "write per-run metrics dumps (name value lines) to this file")
 	flag.StringVar(&o.cpuPath, "cpuprofile", "", "write a CPU profile to this file")
@@ -246,9 +250,15 @@ func (o *Obs) serveProgress(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Start opens the requested outputs and starts profiling. Call after
-// flag.Parse; pair with a deferred Stop. Until Stop runs, Fatalf and
+// flag.Parse; pair with a deferred Stop. Two outputs that name one file
+// are a usage error, reported before anything is opened, unless both are
+// JSONL streams, which then share one writer. Until Stop runs, Fatalf and
 // Check stop the session before exiting.
 func (o *Obs) Start() error {
+	files, err := o.outputs()
+	if err != nil {
+		Usagef(o.tool, "%v", err)
+	}
 	o.started = true
 	setRunning(o, true)
 	if o.cpuPath != "" {
@@ -262,38 +272,20 @@ func (o *Obs) Start() error {
 		}
 		o.cpu = f
 	}
-	if o.tracePath != "" {
-		w, err := openOut(o.tracePath)
+	for _, f := range files {
+		if len(f.sinks) == 0 {
+			continue
+		}
+		w, err := openOut(f.path)
 		if err != nil {
 			return err
 		}
-		o.sink = obs.NewJSONLSink(w)
-	}
-	if o.spanPath != "" {
-		if o.spanPath == o.tracePath {
-			// Same file: share the writer and its lock so span and event
-			// lines interleave without tearing.
-			o.spanSink = o.sink
-		} else {
-			w, err := openOut(o.spanPath)
-			if err != nil {
-				return err
-			}
-			o.spanSink = obs.NewJSONLSink(w)
-		}
-	}
-	if o.checkPath != "" {
-		switch {
-		case o.checkPath == o.tracePath:
-			o.checkSink = o.sink
-		case o.checkPath == o.spanPath:
-			o.checkSink = o.spanSink
-		default:
-			w, err := openOut(o.checkPath)
-			if err != nil {
-				return err
-			}
-			o.checkSink = obs.NewJSONLSink(w)
+		// One writer and its lock, so the streams sharing the file
+		// interleave whole lines.
+		sink := obs.NewJSONLSink(w)
+		o.streams = append(o.streams, sink)
+		for _, s := range f.sinks {
+			*s = sink
 		}
 	}
 	if o.metricsPath != "" {
@@ -359,17 +351,10 @@ func (o *Obs) Stop() {
 		Check(o.tool, o.cpu.Close())
 		o.cpu = nil
 	}
-	if o.checkSink != nil && o.checkSink != o.sink && o.checkSink != o.spanSink {
-		Check(o.tool, o.checkSink.Close())
-	}
-	o.checkSink = nil
-	if o.spanSink != nil && o.spanSink != o.sink {
-		Check(o.tool, o.spanSink.Close())
-	}
-	o.spanSink = nil
-	if o.sink != nil {
-		Check(o.tool, o.sink.Close())
-		o.sink = nil
+	streams := o.streams
+	o.traceOut, o.spanOut, o.checkOut, o.streams = nil, nil, nil, nil
+	for _, s := range streams {
+		Check(o.tool, s.Close())
 	}
 	if o.metrics != nil {
 		Check(o.tool, o.metrics.Close())
@@ -384,31 +369,25 @@ func (o *Obs) Stop() {
 	}
 }
 
-// Tracing reports whether -trace-out was given.
-func (o *Obs) Tracing() bool { return o.sink != nil }
-
 // Tracer returns a fresh tracer tagging its events with the given run
 // label, or nil when tracing is off. Each concurrently running machine
 // needs its own tracer; the shared sink serializes their batches.
 func (o *Obs) Tracer(run string) *obs.Tracer {
-	if o.sink == nil {
+	if o.traceOut == nil {
 		return nil
 	}
-	return obs.NewTracer(o.sink.Sub(run), 0)
+	return obs.NewTracer(o.traceOut.Sub(run), 0)
 }
-
-// Spanning reports whether -span-out was given.
-func (o *Obs) Spanning() bool { return o.spanSink != nil }
 
 // Spans returns a fresh span recorder tagging its spans with the given
 // run label, or nil when -span-out is unset. Each concurrently running
 // machine needs its own recorder; the shared sink serializes their
 // batches.
 func (o *Obs) Spans(run string) *obs.SpanRecorder {
-	if o.spanSink == nil {
+	if o.spanOut == nil {
 		return nil
 	}
-	return obs.NewSpanRecorder(o.spanSink.Sub(run), 0)
+	return obs.NewSpanRecorder(o.spanOut.Sub(run), 0)
 }
 
 // Checking reports whether -check or -check-out was given.
@@ -416,12 +395,12 @@ func (o *Obs) Checking() bool { return o.checkOn || o.checkPath != "" }
 
 // CheckSink returns the violation sink for one run, tagged with the run
 // label: JSONL records when -check-out is set (sharing the trace/span
-// writer when the paths coincide), stderr lines under bare -check, nil
+// writer when it names their file), stderr lines under bare -check, nil
 // when checking is off. A nil sink still lets the machine count and store
 // violations; the caller reports them via Machine.CheckErr.
 func (o *Obs) CheckSink(run string) check.Sink {
-	if o.checkSink != nil {
-		return check.NewJSONLSink(o.checkSink, run)
+	if o.checkOut != nil {
+		return check.NewJSONLSink(o.checkOut, run)
 	}
 	if o.checkOn {
 		return check.NewWriterSink(os.Stderr, run)
@@ -468,6 +447,87 @@ func (o *Obs) Session(parallel int) *exp.Session {
 		ob.Check = o.CheckSink
 	}
 	return exp.NewSession(ob, parallel)
+}
+
+// outFile is one file the session writes, however many flags name it.
+type outFile struct {
+	id    fileID
+	flag  string            // the first flag naming it
+	path  string            // as that flag spells it
+	sinks []**obs.JSONLSink // the JSONL streams writing it
+}
+
+// outputs builds the session's table of output files: one entry per file,
+// however its path is spelled. JSONL streams that name one file share its
+// entry; any other two outputs that name one file are an error.
+func (o *Obs) outputs() ([]*outFile, error) {
+	flags := []struct {
+		name, path string
+		sink       **obs.JSONLSink // nil for outputs that are not JSONL streams
+	}{
+		{"-trace-out", o.tracePath, &o.traceOut},
+		{"-span-out", o.spanPath, &o.spanOut},
+		{"-check-out", o.checkPath, &o.checkOut},
+		{"-metrics", o.metricsPath, nil},
+		{"-cpuprofile", o.cpuPath, nil},
+		{"-memprofile", o.memPath, nil},
+	}
+	var files []*outFile
+next:
+	for _, fl := range flags {
+		if fl.path == "" {
+			continue
+		}
+		id := idOf(fl.path, fl.sink != nil)
+		for _, f := range files {
+			if !f.id.same(id) {
+				continue
+			}
+			if fl.sink == nil || len(f.sinks) == 0 {
+				return nil, fmt.Errorf("%s and %s name one file (%s); only -trace-out, -span-out and -check-out may share a file",
+					f.flag, fl.name, fl.path)
+			}
+			f.sinks = append(f.sinks, fl.sink)
+			continue next
+		}
+		f := &outFile{id: id, flag: fl.name, path: fl.path}
+		if fl.sink != nil {
+			f.sinks = []**obs.JSONLSink{fl.sink}
+		}
+		files = append(files, f)
+	}
+	return files, nil
+}
+
+// fileID identifies the file a path names, however it is spelled: standard
+// output for a stream's "-"; otherwise the absolute path with the
+// directory's symlinks resolved, and the file's identity when it exists,
+// so links to one file match too.
+type fileID struct {
+	path string
+	info os.FileInfo // nil when the file does not exist
+}
+
+func idOf(path string, stream bool) fileID {
+	if stream && path == "-" {
+		return fileID{path: path}
+	}
+	abs, err := filepath.Abs(path)
+	if err != nil {
+		abs = path
+	}
+	if dir, err := filepath.EvalSymlinks(filepath.Dir(abs)); err == nil {
+		abs = filepath.Join(dir, filepath.Base(abs))
+	}
+	info, _ := os.Stat(abs)
+	return fileID{path: abs, info: info}
+}
+
+func (a fileID) same(b fileID) bool {
+	if a.info != nil && b.info != nil {
+		return os.SameFile(a.info, b.info)
+	}
+	return a.path == b.path
 }
 
 // openOut opens path for writing; "-" selects stdout, wrapped so the sink

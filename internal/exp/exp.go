@@ -12,7 +12,6 @@ import (
 	"dircoh/internal/apps"
 	"dircoh/internal/cache"
 	"dircoh/internal/machine"
-	"dircoh/internal/obs"
 	"dircoh/internal/runner"
 	"dircoh/internal/sparse"
 	"dircoh/internal/stats"
@@ -114,15 +113,11 @@ func (s *Session) RunConfigured(name string, w *tango.Workload, cfg machine.Conf
 	fail := func(stage string, err error) error {
 		return &RunError{Run: name, Stage: stage, Err: err}
 	}
-	var tr *obs.Tracer
 	if ob.Tracer != nil {
-		tr = ob.Tracer(name)
-		cfg.Trace = tr
+		cfg.Trace = ob.Tracer(name)
 	}
-	var sp *obs.SpanRecorder
 	if ob.Spans != nil {
-		sp = ob.Spans(name)
-		cfg.Spans = sp
+		cfg.Spans = ob.Spans(name)
 	}
 	if ob.Check != nil {
 		cfg.Check = true
@@ -143,8 +138,8 @@ func (s *Session) RunConfigured(name string, w *tango.Workload, cfg machine.Conf
 	// A failed run still hands its trace, spans and metrics to the
 	// observer: they show how the run got where it failed.
 	failRun := func(stage string, err error) error {
-		tr.Flush()
-		sp.Flush()
+		m.FlushTrace()
+		m.FlushSpans()
 		if ob.Metrics != nil {
 			ob.Metrics(name, m.MetricsSnapshot())
 		}
@@ -160,10 +155,10 @@ func (s *Session) RunConfigured(name string, w *tango.Workload, cfg machine.Conf
 	if err := m.CheckErr(); err != nil {
 		return nil, failRun("check", err)
 	}
-	if err := tr.Flush(); err != nil {
+	if err := m.FlushTrace(); err != nil {
 		return nil, fail("trace", err)
 	}
-	if err := sp.Flush(); err != nil {
+	if err := m.FlushSpans(); err != nil {
 		return nil, fail("spans", err)
 	}
 	if ob.Metrics != nil {

@@ -137,12 +137,6 @@ type Config struct {
 	// perturbs simulation results.
 	Deadline time.Duration
 
-	// Metrics, when non-nil, is the registry the machine (and its mesh,
-	// directories, gates and RACs) records into; a private registry is
-	// created when nil, readable via Machine.MetricsSnapshot. A machine is
-	// single-writer and reads its own counters back into Result, so a
-	// registry must not be shared between machines.
-	Metrics *obs.Registry
 	// Trace, when non-nil, receives structured coherence events (request
 	// issues, directory lookups, invalidation fan-outs, overflow bursts,
 	// directory evictions, lock retries). nil disables tracing at the cost

@@ -20,6 +20,7 @@ import (
 
 	"dircoh/internal/obs"
 	"dircoh/internal/sim"
+	"dircoh/internal/stats"
 )
 
 // never is the "no limit" sentinel for watchdog arithmetic.
@@ -120,16 +121,28 @@ func (m *Machine) watchdogScan() (limit sim.Time, stuck int) {
 	return limit, stuck
 }
 
-// foldGauges folds the per-cluster RAC occupancy gauges into reg and
-// reports mesh.maxhops as the high-water mark it is: its level is set to
-// the mark.
-func (m *Machine) foldGauges(reg *obs.Registry) {
+// fold folds into reg what the machine records outside it: the
+// per-cluster RAC occupancy gauges, and the exact invalidation histograms
+// each burst and recall is recorded in once. It also reports
+// mesh.maxhops as the high-water mark it is: its level is set to the
+// mark. It runs once on the registry at quiescence, and on a copy for
+// each live snapshot.
+func (m *Machine) fold(reg *obs.Registry) {
 	rp := reg.Gauge("rac.pending")
 	for _, c := range m.clusters {
 		rp.Merge(&c.racPend)
 	}
 	mh := reg.Gauge("mesh.maxhops")
 	mh.Set(mh.Max())
+	foldHist(reg.Histogram("dir.inval.fanout", nil), &m.invalHist)
+	foldHist(reg.Histogram("dir.repl.fanout", nil), &m.replHist)
+}
+
+// foldHist records every sample of the exact histogram src into dst.
+func foldHist(dst *obs.Histogram, src *stats.Histogram) {
+	for k := 0; k <= src.Max(); k++ {
+		dst.ObserveN(uint64(k), src.Count(k))
+	}
 }
 
 // scheduleSample schedules the next queue-depth sample at t, on the
@@ -169,7 +182,7 @@ func (m *Machine) liveMetrics() obs.Snapshot {
 	}
 	r := obs.NewRegistry()
 	r.Merge(m.reg)
-	m.foldGauges(r)
+	m.fold(r)
 	return r.Snapshot()
 }
 

@@ -1,7 +1,6 @@
 package machine
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -9,6 +8,7 @@ import (
 
 	"dircoh/internal/mesh"
 	"dircoh/internal/obs"
+	"dircoh/internal/stats"
 	"dircoh/internal/tango"
 )
 
@@ -58,16 +58,14 @@ func runChecked(t *testing.T, cfg Config, w *tango.Workload) *Result {
 }
 
 // runObs runs cfg/w with every observability feature attached — event
-// tracing, span tracing, queue-depth sampling, and an external metrics
-// registry — and returns the result and the full trace and span streams.
+// tracing, span tracing and queue-depth sampling — and returns the result
+// and the full trace and span streams.
 func runObs(t *testing.T, cfg Config, w *tango.Workload) (*Result, []obs.Event, []obs.Span) {
 	t.Helper()
 	ms := &obs.MemSink{}
-	sp := &obs.MemSpanSink{}
 	cfg.Trace = obs.NewTracer(ms, 0)
-	cfg.Spans = obs.NewSpanRecorder(sp, 0)
+	cfg.Spans = obs.NewSpanRecorder(ms, 0)
 	cfg.SampleEvery = 64
-	cfg.Metrics = obs.NewRegistry()
 	m, r := mustRun(t, cfg, w)
 	if err := m.FlushTrace(); err != nil {
 		t.Fatal(err)
@@ -75,19 +73,21 @@ func runObs(t *testing.T, cfg Config, w *tango.Workload) (*Result, []obs.Event, 
 	if err := m.FlushSpans(); err != nil {
 		t.Fatal(err)
 	}
-	// The external registry must carry the same view the machine reports,
-	// per-cluster gauges folded in.
-	var own, ext bytes.Buffer
-	if err := m.MetricsSnapshot().WriteText(&own); err != nil {
-		t.Fatal(err)
+	// Each burst and recall is recorded once, in the exact histograms; the
+	// registry's fan-out histograms must hold the same samples.
+	want := obs.NewRegistry()
+	for name, h := range map[string]*stats.Histogram{"dir.inval.fanout": &r.InvalHist, "dir.repl.fanout": &r.ReplHist} {
+		wh := want.Histogram(name, nil)
+		for k := 0; k <= h.Max(); k++ {
+			for i := uint64(0); i < h.Count(k); i++ {
+				wh.Observe(uint64(k))
+			}
+		}
+		if got := m.MetricsSnapshot().Hists[name]; !reflect.DeepEqual(got, want.Snapshot().Hists[name]) {
+			t.Fatalf("%s = %+v, want the exact histogram's samples %+v", name, got, want.Snapshot().Hists[name])
+		}
 	}
-	if err := cfg.Metrics.Snapshot().WriteText(&ext); err != nil {
-		t.Fatal(err)
-	}
-	if ext.String() != own.String() {
-		t.Fatal("external registry diverges from MetricsSnapshot")
-	}
-	return r, ms.Events, sp.Spans
+	return r, ms.Events, ms.Spans
 }
 
 // TestSingleCluster exercises the degenerate one-cluster shape, where no
@@ -186,6 +186,11 @@ func TestObsNoPerturbation(t *testing.T) {
 		{"coarse-sparse", func() Config {
 			c := testConfig(16, CoarseVec2)
 			c.Sparse = SparseConfig{Entries: 8, Assoc: 2}
+			return c
+		}()},
+		{"sparse-recalls", func() Config {
+			c := testConfig(16, FullVec)
+			c.Sparse = SparseConfig{Entries: 1, Assoc: 1}
 			return c
 		}()},
 	}

@@ -32,7 +32,7 @@ type Machine struct {
 	w       *sim.Wheel
 	settled bool
 
-	// Observability. reg is Config.Metrics when the caller supplied one.
+	// Observability. The machine owns reg; MetricsSnapshot reads it.
 	// The tracer is nil when tracing is off, and spans is nil when span
 	// tracing is off; each processor carries its own open lock-round
 	// transaction (proc.lockTx).
@@ -44,8 +44,6 @@ type Machine struct {
 	lockRetries *obs.Counter                       // "lock.retries"
 	mergedReads *obs.Counter                       // "rac.merged.reads": misses merged onto an outstanding request
 	extraInval  *obs.Counter                       // "dir.inval.extraneous": invalidations that found no copy
-	invalFan    *obs.Histogram                     // "dir.inval.fanout"
-	replFan     *obs.Histogram                     // "dir.repl.fanout"
 
 	// Transaction latency histograms ("tx.lat.<class>"; entries nil when
 	// Config.Spans is nil) and queue-depth sampling histograms (nil when
@@ -62,6 +60,8 @@ type Machine struct {
 	recs slab[rec]
 	envs slab[netMsg]
 
+	// The exact distributions of Figures 3-6 and Result, folded into the
+	// registry's "dir.inval.fanout" and "dir.repl.fanout" (see fold).
 	invalHist stats.Histogram // invalidations per invalidation event (Figs 3-6)
 	replHist  stats.Histogram // invalidations per sparse replacement
 	readLat   stats.LatHist   // read completion latency
@@ -229,10 +229,7 @@ func New(cfg Config) (*Machine, error) {
 	}
 	cfg.Mesh.Nodes = clusters
 
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
+	reg := obs.NewRegistry()
 	if cfg.Mesh.Faults.Enabled() && cfg.Mesh.Faults.Seed == 0 {
 		// Derive the fault stream from the machine seed (stream -1 keeps it
 		// clear of the per-cluster directory streams) so one -seed flag
@@ -242,7 +239,7 @@ func New(cfg Config) (*Machine, error) {
 	if cfg.Check && cfg.Spans == nil {
 		// The checker cross-checks span tiling, so the transaction
 		// machinery must run even when the caller wants no span output.
-		cfg.Spans = obs.NewSpanRecorder(obs.DiscardSpans, 0)
+		cfg.Spans = obs.NewSpanRecorder(obs.Discard, 0)
 	}
 
 	m := &Machine{
@@ -265,8 +262,6 @@ func New(cfg Config) (*Machine, error) {
 	m.lockRetries = reg.Counter("lock.retries")
 	m.mergedReads = reg.Counter("rac.merged.reads")
 	m.extraInval = reg.Counter("dir.inval.extraneous")
-	m.invalFan = reg.Histogram("dir.inval.fanout", nil)
-	m.replFan = reg.Histogram("dir.repl.fanout", nil)
 	for k := range m.kindCtr {
 		m.kindCtr[k] = reg.Counter(protocol.MsgKind(k).MetricName())
 	}
@@ -281,7 +276,11 @@ func New(cfg Config) (*Machine, error) {
 		m.dirLive = reg.Histogram("dir.entries.live", obs.QueueBuckets)
 		m.portDepth = reg.Histogram("mesh.port.backlog", obs.QueueBuckets)
 	}
-	reg.Gauge("rac.pending") // the per-cluster gauges fold into it at quiescence
+	// The per-cluster gauges and the exact histograms fold into these at
+	// quiescence (see fold).
+	reg.Gauge("rac.pending")
+	reg.Histogram("dir.inval.fanout", nil)
+	reg.Histogram("dir.repl.fanout", nil)
 
 	// Each kind of per-cluster and per-processor state is one slice, so
 	// construction makes a fixed number of allocations plus the schemes'.
@@ -649,7 +648,7 @@ func (m *Machine) Run(w *tango.Workload) (*Result, error) {
 		defer m.publishLive(true)
 	}
 	err := m.run()
-	m.foldGauges(m.reg)
+	m.fold(m.reg)
 	m.settled = true
 	if err != nil {
 		return nil, err

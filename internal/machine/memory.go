@@ -393,7 +393,6 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 			h.dir.Release(m.dirKey(b))
 		}
 		m.invalHist.Add(0)
-		m.invalFan.Observe(0)
 		m.fill(p, b, cache.Dirty)
 		m.complete(p, now+m.t.Fill)
 		return
@@ -416,7 +415,6 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 	targets.Remove(h.id)
 	n := targets.Count()
 	m.invalHist.Add(n)
-	m.invalFan.Observe(uint64(n))
 	if n > 0 && !e.Precise() {
 		m.trace(obs.EvOverflow, h.id, b, int64(n))
 	}
@@ -622,7 +620,6 @@ func (m *Machine) serveRemoteWrite(p *proc) {
 	m.invalidateCluster(h, b, false)
 	n := targets.Count()
 	m.invalHist.Add(n)
-	m.invalFan.Observe(uint64(n))
 	if n > 0 && !e.Precise() {
 		m.trace(obs.EvOverflow, h.id, b, int64(n))
 	}
@@ -726,7 +723,6 @@ func (m *Machine) handleNBEvictions(h *clusterNode, b int64, ev []core.NodeID, t
 		return
 	}
 	m.invalHist.Add(len(ev))
-	m.invalFan.Observe(uint64(len(ev)))
 	m.trace(obs.EvInvalFanout, h.id, b, int64(len(ev)))
 	sent := 0
 	for _, v := range ev {
@@ -789,7 +785,6 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 	if ve.Dirty() {
 		owner := ve.Owner()
 		m.replHist.Add(1)
-		m.replFan.Observe(1)
 		m.trace(obs.EvDirEvict, h.id, vb, 1)
 		tx := m.txStart(obs.TxEvict, h, vb)
 		m.txFanout(tx, 1, true)
@@ -807,7 +802,6 @@ func (m *Machine) sendReplacementInvals(h *clusterNode, vb int64, ve core.Entry)
 		return
 	}
 	m.replHist.Add(n)
-	m.replFan.Observe(uint64(n))
 	m.trace(obs.EvDirEvict, h.id, vb, int64(n))
 	tx := m.txStart(obs.TxEvict, h, vb)
 	m.txFanout(tx, n, true)

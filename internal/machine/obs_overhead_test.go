@@ -3,6 +3,7 @@ package machine
 import (
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -35,16 +36,20 @@ func overheadWorkload() *tango.Workload {
 
 // TestTraceOverheadDisabled guards the observability layer's zero-cost
 // claim: simulating with event tracing AND span recording enabled on the
-// discard sinks must stay
-// within 25% of the nil-tracer run (the acceptance budget is 2% on the
-// long benchmarks; the slack here absorbs timer noise on a short run).
-// Runs are interleaved and the minimum of several rounds is compared, so
-// one scheduling hiccup cannot fail the test.
+// discard sinks must stay within 25% of the nil-ring run (the acceptance
+// budget is 2% on the long benchmarks; the slack here absorbs noise on a
+// short run). Each run starts after a collection and is timed in the
+// process's CPU time with the collector off, so neither other processes
+// on the host nor where a collection happens to fall moves the reading;
+// TestSpanRecordsReused gates the bytes tracing allocates. Fifteen
+// interleaved rounds are run and the minimum of each side is compared,
+// so a disturbed round cannot fail the test.
 func TestTraceOverheadDisabled(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
 	}
 	w := overheadWorkload()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	run := func(tr *obs.Tracer, sp *obs.SpanRecorder) time.Duration {
 		cfg := testConfig(16, CoarseVec2)
 		cfg.Trace = tr
@@ -53,21 +58,22 @@ func TestTraceOverheadDisabled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
+		runtime.GC()
+		start := processCPU()
 		if _, err := m.Run(w); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
+		return processCPU() - start
 	}
 	run(nil, nil) // warm up caches and the allocator
 
 	minOff := time.Duration(1<<63 - 1)
 	minOn := minOff
-	for round := 0; round < 5; round++ {
+	for round := 0; round < 15; round++ {
 		if d := run(nil, nil); d < minOff {
 			minOff = d
 		}
-		if d := run(obs.NewTracer(obs.Discard, 0), obs.NewSpanRecorder(obs.DiscardSpans, 0)); d < minOn {
+		if d := run(obs.NewTracer(obs.Discard, 0), obs.NewSpanRecorder(obs.Discard, 0)); d < minOn {
 			minOn = d
 		}
 	}
@@ -94,7 +100,7 @@ func TestSpanRecordsReused(t *testing.T) {
 				cfg.Mesh.Faults.Drop, cfg.Mesh.Faults.Dup = 0.02, 0.02
 			}
 			if spans {
-				cfg.Spans = obs.NewSpanRecorder(obs.DiscardSpans, 0)
+				cfg.Spans = obs.NewSpanRecorder(obs.Discard, 0)
 			}
 			m, err := New(cfg)
 			if err != nil {
@@ -127,7 +133,7 @@ func BenchmarkMachineTraceDiscard(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := testConfig(16, CoarseVec2)
 		cfg.Trace = obs.NewTracer(obs.Discard, 0)
-		cfg.Spans = obs.NewSpanRecorder(obs.DiscardSpans, 0)
+		cfg.Spans = obs.NewSpanRecorder(obs.Discard, 0)
 		m, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // returns the machine, result and collected spans.
 func runSpans(t *testing.T, cfg Config, w *tango.Workload) (*Machine, *Result, []obs.Span) {
 	t.Helper()
-	sink := &obs.MemSpanSink{}
+	sink := &obs.MemSink{}
 	cfg.Spans = obs.NewSpanRecorder(sink, 64)
 	m, err := New(cfg)
 	if err != nil {

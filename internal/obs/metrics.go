@@ -1,15 +1,16 @@
 // Package obs is the simulator's observability layer: a metrics registry
-// (counters, gauges, fixed-bucket histograms) and a structured event-trace
-// ring buffer with pluggable sinks.
+// (counters, gauges, fixed-bucket histograms) and one ring buffer, Ring,
+// that records structured events (Tracer) and transaction spans
+// (SpanRecorder) into pluggable sinks.
 //
 // The design goal is zero allocation on the simulation hot path. Metric
 // handles are resolved by name once, at machine construction; recording is
-// a plain field increment on the returned pointer. Trace emission writes
-// into a preallocated ring and only touches the sink when the ring fills.
-// A nil *Tracer is the disabled state and call sites guard with a single
-// pointer test, so observability costs nothing when it is off.
+// a plain field increment on the returned pointer. Emission writes into a
+// preallocated ring and only touches the sink when the ring fills. A nil
+// ring is the disabled state and call sites guard with a single pointer
+// test, so observability costs nothing when it is off.
 //
-// Registries and tracers are single-writer by design, like the simulator
+// Registries and rings are single-writer by design, like the simulator
 // itself: one machine, one goroutine. Sinks shared between concurrently
 // running machines (the experiment pool) must serialize internally;
 // JSONLSink does.
@@ -81,14 +82,20 @@ type Histogram struct {
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v uint64) {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of value v, as n calls of Observe would.
+func (h *Histogram) ObserveN(v, n uint64) {
+	if n == 0 {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.counts[i]++
-	h.n++
-	h.sum += v
+	h.counts[i] += n
+	h.n += n
+	h.sum += v * n
 	if v > h.max {
 		h.max = v
 	}

