@@ -48,13 +48,19 @@ type Copy struct {
 }
 
 // EntryView is the observable state of the block's home directory entry.
-// Present false means the home has no entry at all (nil IsSharer is then
-// allowed). IsSharer reports candidate-set membership for a cluster.
+// Present false means the home has no entry at all (nil Sharers is then
+// allowed).
 type EntryView struct {
-	Present  bool
-	Dirty    bool
-	Owner    int
-	IsSharer func(cluster int) bool
+	Present bool
+	Dirty   bool
+	Owner   int
+	Sharers SharerSet
+}
+
+// SharerSet reports candidate-set membership for a cluster. A directory
+// entry (core.Entry) is one, so a view of it is built without allocating.
+type SharerSet interface {
+	IsSharer(cluster int) bool
 }
 
 // Emit receives one violation: the offending cluster (-1 when
@@ -98,7 +104,7 @@ func Coverage(home int, copies []Copy, e EntryView, emit Emit) {
 				c.Proc, c.Cluster))
 			continue
 		}
-		if !e.IsSharer(c.Cluster) && !(e.Dirty && e.Owner == c.Cluster) {
+		if !e.Sharers.IsSharer(c.Cluster) && !(e.Dirty && e.Owner == c.Cluster) {
 			emit(c.Cluster, fmt.Sprintf("proc %d (cluster %d) caches the block but is neither a recorded sharer nor the dirty owner",
 				c.Proc, c.Cluster))
 		}
@@ -121,7 +127,7 @@ func RecallClean(home int, copies []Copy, e EntryView, emit Emit) {
 		if c.Cluster == home {
 			continue
 		}
-		if e.Present && (e.IsSharer(c.Cluster) || (e.Dirty && e.Owner == c.Cluster)) {
+		if e.Present && (e.Sharers.IsSharer(c.Cluster) || (e.Dirty && e.Owner == c.Cluster)) {
 			continue
 		}
 		emit(c.Cluster, fmt.Sprintf("replacement recall completed but proc %d (cluster %d) still caches the victim (%v) with no covering entry or pending recall",

@@ -33,13 +33,13 @@ func clusterTag(c int) string {
 // maskEntry builds an EntryView whose candidate set is the given cluster
 // bitmask.
 func maskEntry(dirty bool, owner int, mask uint) EntryView {
-	return EntryView{
-		Present:  true,
-		Dirty:    dirty,
-		Owner:    owner,
-		IsSharer: func(c int) bool { return mask&(1<<uint(c)) != 0 },
-	}
+	return EntryView{Present: true, Dirty: dirty, Owner: owner, Sharers: maskSet(mask)}
 }
+
+// maskSet is a candidate set as a cluster bitmask.
+type maskSet uint
+
+func (m maskSet) IsSharer(c int) bool { return m&(1<<uint(c)) != 0 }
 
 func TestSingleWriter(t *testing.T) {
 	cases := []struct {

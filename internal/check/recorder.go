@@ -46,7 +46,7 @@ type Recorder struct {
 
 	// spanTx tracks the span tree of every transaction for the tiling
 	// cross-check.
-	spanTx map[uint64]*txSpans
+	spanTx map[uint64]txSpans
 
 	// Scratch buffer reused by the machine's per-block cache scans.
 	Scratch []int32
@@ -64,7 +64,7 @@ func NewRecorder(reg *obs.Registry, sink Sink) *Recorder {
 		inflight: make(map[int64]int),
 		acks:     make(map[int]int),
 		openTx:   make(map[int64]uint64),
-		spanTx:   make(map[uint64]*txSpans),
+		spanTx:   make(map[uint64]txSpans),
 	}
 	for i := range r.ctr {
 		r.ctr[i] = reg.Counter(Rule(i).MetricName())

@@ -18,8 +18,8 @@ type txSpans struct {
 }
 
 // Span feeds one emitted span to the tiling verifier. The machine funnels
-// every span through here (including when span output is discarded), so
-// the cross-check runs whenever the checker is enabled.
+// every span through here (including when it records none), so the
+// cross-check runs whenever the checker is enabled.
 func (r *Recorder) Span(s obs.Span) {
 	if s.End < s.Start {
 		r.Violationf(RuleSpan, s.Node, s.Block, s.End,
@@ -33,10 +33,12 @@ func (r *Recorder) Span(s obs.Span) {
 		// bookkeeping below (which assumes exactly one owed ack.gather).
 		return
 	}
-	tx := r.spanTx[s.Tx]
-	if tx == nil {
-		tx = &txSpans{class: s.Class}
-		r.spanTx[s.Tx] = tx
+	// The state is held by value: a transaction that is still owed spans
+	// is written back, a finished one deleted, so a run allocates no
+	// record per transaction.
+	tx, ok := r.spanTx[s.Tx]
+	if !ok {
+		tx.class = s.Class
 	}
 	if s.Parent == 0 { // root span
 		if tx.rootSeen {
@@ -53,6 +55,7 @@ func (r *Recorder) Span(s obs.Span) {
 		// ack.gather child that may land after the root.
 		if s.N > 0 && s.Class != obs.TxEvict && !tx.ackSeen {
 			tx.waitAck = true
+			r.spanTx[s.Tx] = tx
 			return
 		}
 		delete(r.spanTx, s.Tx)
@@ -64,6 +67,7 @@ func (r *Recorder) Span(s obs.Span) {
 			delete(r.spanTx, s.Tx) // the awaited ack.gather arrived
 		} else {
 			tx.ackSeen = true // arrived before the root; nothing more owed
+			r.spanTx[s.Tx] = tx
 		}
 		return
 	}
@@ -81,6 +85,7 @@ func (r *Recorder) Span(s obs.Span) {
 	}
 	tx.cursor = s.End
 	tx.sync++
+	r.spanTx[s.Tx] = tx
 }
 
 // finishSpans reports transactions whose span trees never completed.

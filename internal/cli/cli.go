@@ -459,7 +459,9 @@ type outFile struct {
 
 // outputs builds the session's table of output files: one entry per file,
 // however its path is spelled. JSONL streams that name one file share its
-// entry; any other two outputs that name one file are an error.
+// entry; any other two outputs that name one file are an error. "-" names
+// standard output, which only a JSONL stream may write: a profile is
+// binary, and a metrics dump would interleave with the command's report.
 func (o *Obs) outputs() ([]*outFile, error) {
 	flags := []struct {
 		name, path string
@@ -477,6 +479,9 @@ next:
 	for _, fl := range flags {
 		if fl.path == "" {
 			continue
+		}
+		if fl.sink == nil && fl.path == "-" {
+			return nil, fmt.Errorf("%s -: only -trace-out, -span-out and -check-out write to standard output", fl.name)
 		}
 		id := idOf(fl.path, fl.sink != nil)
 		for _, f := range files {

@@ -113,7 +113,9 @@ func TestOutputsTable(t *testing.T) {
 		err     string // substring of the usage error, "" for none
 	}{
 		{"stdout streams share", &Obs{tracePath: "-", spanPath: "-"}, 1, 2, ""},
-		{"-metrics - is a file", &Obs{tracePath: "-", metricsPath: "-"}, 2, 1, ""},
+		{"-metrics - refused", &Obs{tracePath: "-", metricsPath: "-"}, 0, 0, "-metrics -: only"},
+		{"-cpuprofile - refused", &Obs{cpuPath: "-"}, 0, 0, "-cpuprofile -: only"},
+		{"-memprofile - refused", &Obs{memPath: "-"}, 0, 0, "-memprofile -: only"},
 		{"symlinked directory", &Obs{spanPath: filepath.Join(dir, "link", "x"), checkPath: filepath.Join(dir, "real", "x")}, 1, 2, ""},
 		{"hard link", &Obs{tracePath: a, spanPath: b}, 1, 2, ""},
 		{"profile on a stream", &Obs{tracePath: a, cpuPath: b}, 0, 0, "-trace-out and -cpuprofile name one file"},
@@ -164,5 +166,31 @@ func TestMetricsOnStreamFileExits2(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "cpu.out")); !os.IsNotExist(err) {
 		t.Errorf("the CPU profile was opened before the usage error (stat: %v)", err)
+	}
+}
+
+// TestMetricsToStdoutExits2: "-" means standard output only for the JSONL
+// streams, so -metrics - is a usage error — exit status 2, the flag named
+// on stderr, and no file named "-" created.
+func TestMetricsToStdoutExits2(t *testing.T) {
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0])
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "CLI_TEST_ARGS=-metrics -")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("err=%v, want exit status 2 (stderr: %s)", err, stderr.String())
+	}
+	if msg := stderr.String(); !strings.Contains(msg, "-metrics") {
+		t.Errorf("stderr %q does not name the flag", msg)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("stdout = %q, want nothing", stdout.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "-")); !os.IsNotExist(err) {
+		t.Errorf("a file named - was created (stat: %v)", err)
 	}
 }

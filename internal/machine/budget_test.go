@@ -140,6 +140,46 @@ func TestLURunBudget(t *testing.T) {
 	}
 }
 
+// TestCheckedLURunBudget pins what the runtime coherence checker
+// allocates: New + Run of Figure 7's LU under Dir3CV2 at 32 processors
+// with Config.Check on stays within 2% of the same run's allocations
+// unchecked and within 1 MB of its bytes. When the checker brought a
+// 4,096-span ring that discarded everything, a record per transaction and
+// a closure per coherence check, the run made 175,130 allocations against
+// 18,863 and allocated 5.9 MB more.
+func TestCheckedLURunBudget(t *testing.T) {
+	w := exp.Workload("LU", exp.Procs)
+	run := func(checked bool) (bytes, allocs uint64) {
+		cfg := machine.DefaultConfig(machine.CoarseVec2)
+		cfg.Check = checked
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		m, err := machine.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(w); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if err := m.CheckErr(); err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+	}
+	plainBytes, plainAllocs := run(false)
+	bytes, allocs := run(true)
+	t.Logf("New + Run of LU Dir3CV2 at %d processors: %.1f MB and %d allocations unchecked, %.1f MB and %d checked",
+		exp.Procs, float64(plainBytes)/(1<<20), plainAllocs, float64(bytes)/(1<<20), allocs)
+	if allocs > plainAllocs+plainAllocs/50 {
+		t.Errorf("the checked run made %d allocations, more than 2%% over the unchecked run's %d", allocs, plainAllocs)
+	}
+	if bytes > plainBytes+1<<20 {
+		t.Errorf("the checked run allocated %.2f MB beyond the unchecked run, budget 1 MB", float64(bytes-plainBytes)/(1<<20))
+	}
+}
+
 // TestLUBuildBudget pins what generating Figure 7's LU at 32 processors
 // allocates. A reference is one 8-byte word, so the streams and the
 // copies their append growth leaves behind stay within 36 MB; 16-byte

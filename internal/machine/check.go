@@ -227,10 +227,10 @@ func (m *Machine) entryView(h *clusterNode, b int64) check.EntryView {
 		return check.EntryView{}
 	}
 	return check.EntryView{
-		Present:  true,
-		Dirty:    e.Dirty(),
-		Owner:    e.Owner(),
-		IsSharer: e.IsSharer,
+		Present: true,
+		Dirty:   e.Dirty(),
+		Owner:   e.Owner(),
+		Sharers: e,
 	}
 }
 

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -272,26 +273,54 @@ func TestCycleDeltaClamps(t *testing.T) {
 	}
 }
 
-// TestCheckerForcesSpanMachinery: with Check on and Spans nil the span
-// verifier must still see the transaction stream (via a discarding
-// recorder), exercising the tiling checks.
+// TestCheckerForcesSpanMachinery: with Check on and Spans nil the machine
+// builds no span ring but still runs the transaction machinery and hands
+// every span to the checker's tiling verifier. A transaction opened by
+// hand that emits one child and no root is reported as orphaned, and a
+// clean run fills the tx.lat.* histograms exactly as a span-recording run
+// does.
 func TestCheckerForcesSpanMachinery(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	streams := stressStreams(rng, 4, 150, 16, true)
 	cfg := testConfig(4, FullVec)
 	cfg.Check = true
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.spans == nil {
-		t.Fatal("checker did not force the span recorder on")
+	if m.spans != nil {
+		t.Fatal("a Check-only machine built a span ring")
 	}
-	if _, err := m.Run(wl(streams...)); err != nil {
+	c := m.clusters[0]
+	tx := m.txStart(obs.TxRead, c, 3)
+	if tx == nil {
+		t.Fatal("the checker did not turn the transaction machinery on")
+	}
+	m.txPhase(c, tx, obs.PhReqTravel)
+	if _, err := m.Run(wl(nil, nil, nil, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.CheckErr(); err != nil {
+	orphaned := false
+	for _, v := range m.Violations() {
+		orphaned = orphaned || v.Rule == check.RuleSpan && strings.Contains(v.Detail, "orphaned transaction")
+	}
+	if !orphaned {
+		t.Fatalf("the tiling verifier did not report the orphaned transaction (violations: %v)", m.Violations())
+	}
+
+	streams := stressStreams(rand.New(rand.NewSource(2)), 4, 150, 16, true)
+	checked := checkedRun(t, cfg, wl(streams...))
+	if err := checked.CheckErr(); err != nil {
 		t.Fatal(err)
+	}
+	cfg.Spans = obs.NewSpanRecorder(obs.Discard, 0)
+	recorded := checkedRun(t, cfg, wl(streams...))
+	got, want := checked.MetricsSnapshot().Hists, recorded.MetricsSnapshot().Hists
+	for _, name := range txLatName {
+		if h, ok := got[name]; !ok || !reflect.DeepEqual(h, want[name]) {
+			t.Errorf("%s: Check-only run %+v (registered %v), span-recording run %+v", name, h, ok, want[name])
+		}
+	}
+	if got[txLatName[obs.TxWrite]].N == 0 {
+		t.Error("the stress run recorded no write transaction")
 	}
 }
 

@@ -170,10 +170,12 @@ type Config struct {
 	// recall completeness, acknowledgement conservation and span tiling at
 	// every protocol transition. Violations are counted in the
 	// check.violation.* registry counters and reported through
-	// Machine.Violations / Machine.CheckErr. Enabling the checker forces
-	// the transaction-span machinery on (with a discarding sink when Spans
-	// is nil) but never alters protocol decisions; disabled, its entire
-	// cost is one nil test per would-be assertion.
+	// Machine.Violations / Machine.CheckErr. Enabling the checker turns
+	// the transaction machinery on and hands every span to the tiling
+	// verifier; the spans reach a recorder only when Spans is set, and
+	// the tx.lat.<class> histograms fill as they do with spans on. The
+	// checker never alters protocol decisions; disabled, its entire cost
+	// is one nil test per would-be assertion.
 	Check bool
 	// CheckSink, when non-nil (and Check is set), additionally receives
 	// every violation as a structured record — typically a

@@ -34,11 +34,13 @@ type Machine struct {
 
 	// Observability. The machine owns reg; MetricsSnapshot reads it.
 	// The tracer is nil when tracing is off, and spans is nil when span
-	// tracing is off; each processor carries its own open lock-round
-	// transaction (proc.lockTx).
+	// tracing is off. txOn is set when spans are recorded or the checker
+	// is on: either one needs the transaction machinery (span.go). Each
+	// processor carries its own open lock-round transaction (proc.lockTx).
 	reg   *obs.Registry
 	tr    *obs.Tracer
 	spans *obs.SpanRecorder
+	txOn  bool
 
 	kindCtr     [protocol.NumMsgKinds]*obs.Counter // per-message-kind counters ("msg.<kind>")
 	lockRetries *obs.Counter                       // "lock.retries"
@@ -46,7 +48,7 @@ type Machine struct {
 	extraInval  *obs.Counter                       // "dir.inval.extraneous": invalidations that found no copy
 
 	// Transaction latency histograms ("tx.lat.<class>"; entries nil when
-	// Config.Spans is nil) and queue-depth sampling histograms (nil when
+	// txOn is off) and queue-depth sampling histograms (nil when
 	// Config.SampleEvery is 0).
 	txLat     [obs.NumTxClasses]*obs.Histogram
 	dirDepth  *obs.Histogram // "dir.queue.depth"
@@ -202,7 +204,7 @@ type proc struct {
 	opWrite       bool // the data reference in flight is a write
 	opStart       sim.Time
 	lastProgress  sim.Time // last cycle this processor advanced (liveness watchdog)
-	lockTx        *txState // open lock-round transaction (span tracing only)
+	lockTx        *txState // open lock-round transaction (txOn only)
 }
 
 // New builds a machine from cfg. Configurations that fail Validate are
@@ -236,11 +238,6 @@ func New(cfg Config) (*Machine, error) {
 		// still pins the whole run.
 		cfg.Mesh.Faults.Seed = rng.Mix(cfg.Seed, -1)
 	}
-	if cfg.Check && cfg.Spans == nil {
-		// The checker cross-checks span tiling, so the transaction
-		// machinery must run even when the caller wants no span output.
-		cfg.Spans = obs.NewSpanRecorder(obs.Discard, 0)
-	}
 
 	m := &Machine{
 		cfg:   cfg,
@@ -249,6 +246,9 @@ func New(cfg Config) (*Machine, error) {
 		reg:   reg,
 		tr:    cfg.Trace,
 		spans: cfg.Spans,
+		// The checker cross-checks span tiling, so the transaction
+		// machinery runs even when the caller records no spans.
+		txOn: cfg.Spans != nil || cfg.Check,
 	}
 	if cfg.Check {
 		m.chk = check.NewRecorder(reg, cfg.CheckSink)
@@ -266,7 +266,7 @@ func New(cfg Config) (*Machine, error) {
 		m.kindCtr[k] = reg.Counter(protocol.MsgKind(k).MetricName())
 	}
 	// A disabled feature contributes no zero-valued series.
-	if cfg.Spans != nil {
+	if m.txOn {
 		for c := range m.txLat {
 			m.txLat[c] = reg.Histogram(txLatName[c], obs.LatBuckets)
 		}

@@ -159,7 +159,7 @@ func (m *Machine) settleEnv(i uint32, env *netMsg, st stage) {
 // the sender's context, where the retransmit timer fired.
 func (m *Machine) emitRecovery(env *netMsg) {
 	tx := env.tx
-	if tx == nil || m.spans == nil {
+	if tx == nil || !m.txOn {
 		return
 	}
 	m.emitSpan(obs.Span{

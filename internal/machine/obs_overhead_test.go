@@ -34,11 +34,12 @@ func overheadWorkload() *tango.Workload {
 	return wl(streams...)
 }
 
-// TestTraceOverheadDisabled guards the observability layer's zero-cost
-// claim: simulating with event tracing AND span recording enabled on the
-// discard sinks must stay within 25% of the nil-ring run (the acceptance
-// budget is 2% on the long benchmarks; the slack here absorbs noise on a
-// short run). Each run starts after a collection and is timed in the
+// TestTraceOverheadDisabled bounds what observing costs: simulating with
+// event tracing AND span recording enabled on the discard sinks must stay
+// within 25% of the nil-ring run. On a 2-vCPU host the ratio read
+// 1.00-1.29 over 16 runs of this test alone, and perfbench's traced
+// paper-32 pass reads 1.01-1.25; BenchmarkObservers prices each observer
+// alone. Each run starts after a collection and is timed in the
 // process's CPU time with the collector off, so neither other processes
 // on the host nor where a collection happens to fall moves the reading;
 // TestSpanRecordsReused gates the bytes tracing allocates. Fifteen
@@ -119,27 +120,6 @@ func TestSpanRecordsReused(t *testing.T) {
 		t.Logf("faults %v: %d bytes with spans off, %d with spans on", faults, off, on)
 		if on > off+64<<10 {
 			t.Errorf("faults %v: span tracing allocated %d bytes beyond the spans-off run (budget 64 KiB)", faults, on-off)
-		}
-	}
-}
-
-// BenchmarkMachineTraceDiscard is BenchmarkMachineRefsPerSec with tracing
-// enabled on the discard sink, for before/after comparison of the
-// instrumentation's cost.
-func BenchmarkMachineTraceDiscard(b *testing.B) {
-	w := overheadWorkload()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := testConfig(16, CoarseVec2)
-		cfg.Trace = obs.NewTracer(obs.Discard, 0)
-		cfg.Spans = obs.NewSpanRecorder(obs.Discard, 0)
-		m, err := New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Run(w); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

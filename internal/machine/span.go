@@ -8,9 +8,10 @@ import (
 )
 
 // txState tracks one in-flight remote transaction for span emission. It
-// exists only while span tracing is enabled (Config.Spans non-nil); every
-// helper below treats a nil receiver argument as tracing-off and costs one
-// branch, so the simulation hot path is untouched when spans are disabled.
+// exists only while the transaction machinery runs (m.txOn: spans are
+// recorded or the checker is on); every helper below treats a nil
+// receiver argument as off and costs one branch, so the simulation hot
+// path is untouched when neither is enabled.
 //
 // The machine emits child spans as the transaction crosses phase
 // boundaries: mark carries the start of the phase currently in progress, so
@@ -58,9 +59,10 @@ func (m *Machine) spanID(c *clusterNode) uint64 {
 }
 
 // txStart opens a transaction at the current cycle in cluster c's context
-// (always the requesting cluster), or returns nil when span tracing is off.
+// (always the requesting cluster), or returns nil when the transaction
+// machinery is off.
 func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txState {
-	if m.spans == nil {
+	if !m.txOn {
 		return nil
 	}
 	now := m.now()
@@ -85,13 +87,15 @@ func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txSta
 	return tx
 }
 
-// emitSpan hands one span to the recorder and, when checking is on, to
-// the checker's span-tiling verifier.
+// emitSpan hands one span to the checker's span-tiling verifier when
+// checking is on, and to the recorder when spans are recorded.
 func (m *Machine) emitSpan(s obs.Span) {
 	if m.chk != nil {
 		m.chk.Span(s)
 	}
-	m.spans.Emit(s)
+	if m.spans != nil {
+		m.spans.Emit(s)
+	}
 }
 
 // txLatName holds the per-class transaction latency histogram names
@@ -207,7 +211,7 @@ func (m *Machine) lockTxSet(p *proc, tx *txState) {
 
 // lockTxOf returns p's open lock-round transaction, or nil.
 func (m *Machine) lockTxOf(p *proc) *txState {
-	if m.spans == nil {
+	if !m.txOn {
 		return nil
 	}
 	return p.lockTx
@@ -216,7 +220,7 @@ func (m *Machine) lockTxOf(p *proc) *txState {
 // lockTxEnd closes p's open lock-round transaction, if any. It runs in
 // p's own cluster context (the grant or wake has arrived at p's cluster).
 func (m *Machine) lockTxEnd(p *proc) {
-	if m.spans == nil {
+	if !m.txOn {
 		return
 	}
 	if tx := p.lockTx; tx != nil {

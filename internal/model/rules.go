@@ -681,14 +681,18 @@ func (a *applier) entryView(b int) check.EntryView {
 	if e == nil {
 		return check.EntryView{Owner: -1}
 	}
-	mask := e.mask(a.m.es)
 	return check.EntryView{
-		Present:  true,
-		Dirty:    e.dirty,
-		Owner:    int(e.owner),
-		IsSharer: func(cl int) bool { return mask&(1<<uint(cl)) != 0 },
+		Present: true,
+		Dirty:   e.dirty,
+		Owner:   int(e.owner),
+		Sharers: sharerMask(e.mask(a.m.es)),
 	}
 }
+
+// sharerMask is a candidate set as a cluster bitmask.
+type sharerMask uint8
+
+func (s sharerMask) IsSharer(cl int) bool { return s&(1<<uint(cl)) != 0 }
 
 // checkState runs the per-state invariants: single-writer and directory
 // coverage per quiescent block (the same gating as the runtime checker's
