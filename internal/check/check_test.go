@@ -102,7 +102,7 @@ func TestWriterSink(t *testing.T) {
 
 func TestRecorderCountersAndCap(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := NewRecorder(reg, nil)
+	r := NewRecorder(reg, nil, 4)
 	for i := 0; i < maxStored+10; i++ {
 		r.Violationf(RuleSingleWriter, 0, int64(i), uint64(i), "v%d", i)
 	}
@@ -119,7 +119,7 @@ func TestRecorderCountersAndCap(t *testing.T) {
 
 func TestRecorderStickySinkErr(t *testing.T) {
 	buf := &lineBuf{err: errors.New("disk full")}
-	r := NewRecorder(nil, NewJSONLSink(buf, ""))
+	r := NewRecorder(nil, NewJSONLSink(buf, ""), 4)
 	r.Violationf(RuleProtocol, -1, -1, 0, "first")
 	buf.err = fmt.Errorf("second error")
 	r.Violationf(RuleProtocol, -1, -1, 0, "second")
@@ -129,15 +129,15 @@ func TestRecorderStickySinkErr(t *testing.T) {
 }
 
 func TestInvalBookkeeping(t *testing.T) {
-	r := NewRecorder(nil, nil)
+	r := NewRecorder(nil, nil, 4)
 	r.InvalSent(9, 2)
-	if r.Inflight(9) != 2 {
-		t.Fatalf("Inflight = %d, want 2", r.Inflight(9))
+	if r.Block(9).Inflight() != 2 {
+		t.Fatalf("Inflight = %d, want 2", r.Block(9).Inflight())
 	}
 	r.InvalApplied(9, 10)
 	r.InvalApplied(9, 11)
-	if r.Inflight(9) != 0 || r.Count() != 0 {
-		t.Fatalf("drain should be clean: inflight=%d count=%d", r.Inflight(9), r.Count())
+	if r.Block(9).Inflight() != 0 || r.Count() != 0 {
+		t.Fatalf("drain should be clean: inflight=%d count=%d", r.Block(9).Inflight(), r.Count())
 	}
 	// An application with none in flight is an ack-conservation violation.
 	r.InvalApplied(9, 12)
@@ -146,13 +146,13 @@ func TestInvalBookkeeping(t *testing.T) {
 	}
 	// Non-positive sends are ignored, not stored as zero entries.
 	r.InvalSent(10, 0)
-	if r.Inflight(10) != 0 {
+	if r.Block(10) != nil {
 		t.Fatal("zero send must not track")
 	}
 }
 
 func TestAckBookkeeping(t *testing.T) {
-	r := NewRecorder(nil, nil)
+	r := NewRecorder(nil, nil, 4)
 	r.AckExpect(2, 2)
 	r.AckArrived(2, 5)
 	r.Drained(2, 6) // one still outstanding: violation
@@ -167,7 +167,7 @@ func TestAckBookkeeping(t *testing.T) {
 }
 
 func TestFinishChecks(t *testing.T) {
-	r := NewRecorder(nil, nil)
+	r := NewRecorder(nil, nil, 4)
 	r.InvalSent(3, 1) // never applied
 	r.AckExpect(1, 2) // never acknowledged
 	r.ExtraInval()    // checker counted 1, machine will claim 5
@@ -189,35 +189,36 @@ func TestFinishChecks(t *testing.T) {
 }
 
 func TestOpenTxContext(t *testing.T) {
-	r := NewRecorder(nil, nil)
+	r := NewRecorder(nil, nil, 4)
 	r.OpenTx(4, 17)
 	r.Violationf(RuleCoverage, 0, 4, 50, "while tx open")
 	if r.Violations()[0].Tx != 17 {
 		t.Fatalf("violation should carry the open tx, got %d", r.Violations()[0].Tx)
 	}
 	r.CloseTx(4, 16) // stale close: must not clear tx 17
-	if r.TxOf(4) != 17 {
+	if r.Block(4).Tx() != 17 {
 		t.Fatal("stale CloseTx cleared a newer transaction")
 	}
 	r.CloseTx(4, 17)
-	if r.TxOf(4) != 0 {
+	if r.Block(4).Tx() != 0 {
 		t.Fatal("CloseTx did not clear")
 	}
 }
 
 // span returns a well-formed span for the tiling tests.
-func span(tx uint64, parent uint64, phase obs.Phase, start, end uint64) obs.Span {
-	return obs.Span{Tx: tx, ID: tx*10 + uint64(phase), Parent: parent, Class: obs.TxWrite,
+func span(tx uint64, parent uint64, phase obs.Phase, start, end uint64) *obs.Span {
+	return &obs.Span{Tx: tx, ID: tx*10 + uint64(phase), Parent: parent, Class: obs.TxWrite,
 		Phase: phase, Start: start, End: end}
 }
 
 func TestSpanTilingClean(t *testing.T) {
-	r := NewRecorder(nil, nil)
-	r.Span(span(1, 0o1, obs.PhReqTravel, 10, 14))
-	r.Span(span(1, 0o1, obs.PhDirWait, 14, 20))
-	r.Span(span(1, 0o1, obs.PhReplyTravel, 20, 26))
+	r := NewRecorder(nil, nil, 4)
+	t1 := new(TxSpans)
+	r.Span(span(1, 0o1, obs.PhReqTravel, 10, 14), t1)
+	r.Span(span(1, 0o1, obs.PhDirWait, 14, 20), t1)
+	r.Span(span(1, 0o1, obs.PhReplyTravel, 20, 26), t1)
 	root := span(1, 0, obs.PhTotal, 10, 26)
-	r.Span(root)
+	r.Span(root, t1)
 	r.Finish(0, 100)
 	if r.Count() != 0 {
 		t.Fatalf("clean tiling flagged: %v", r.Violations())
@@ -227,49 +228,49 @@ func TestSpanTilingClean(t *testing.T) {
 func TestSpanViolations(t *testing.T) {
 	cases := []struct {
 		name string
-		feed func(r *Recorder)
+		feed func(r *Recorder, t1 *TxSpans)
 		want string
 	}{
-		{"end before start", func(r *Recorder) {
-			r.Span(span(1, 0, obs.PhTotal, 10, 5))
+		{"end before start", func(r *Recorder, t1 *TxSpans) {
+			r.Span(span(1, 0, obs.PhTotal, 10, 5), t1)
 		}, "before it starts"},
-		{"gap between children", func(r *Recorder) {
-			r.Span(span(1, 01, obs.PhReqTravel, 10, 14))
-			r.Span(span(1, 01, obs.PhDirWait, 16, 20)) // gap at 14..16
+		{"gap between children", func(r *Recorder, t1 *TxSpans) {
+			r.Span(span(1, 01, obs.PhReqTravel, 10, 14), t1)
+			r.Span(span(1, 01, obs.PhDirWait, 16, 20), t1) // gap at 14..16
 		}, "gap or overlap"},
-		{"children don't tile root", func(r *Recorder) {
-			r.Span(span(1, 01, obs.PhReqTravel, 10, 14))
-			r.Span(span(1, 0, obs.PhTotal, 10, 26))
+		{"children don't tile root", func(r *Recorder, t1 *TxSpans) {
+			r.Span(span(1, 01, obs.PhReqTravel, 10, 14), t1)
+			r.Span(span(1, 0, obs.PhTotal, 10, 26), t1)
 		}, "children tile"},
 		// A completed tree is forgotten, so duplicate-root and
 		// child-after-root are only detectable while the tx still owes its
 		// asynchronous ack.gather child (root.N > 0).
-		{"two roots", func(r *Recorder) {
+		{"two roots", func(r *Recorder, t1 *TxSpans) {
 			root := span(1, 0, obs.PhTotal, 10, 26)
 			root.N = 2
-			r.Span(root)
-			r.Span(root)
+			r.Span(root, t1)
+			r.Span(root, t1)
 		}, "two root spans"},
-		{"sync child after root", func(r *Recorder) {
+		{"sync child after root", func(r *Recorder, t1 *TxSpans) {
 			root := span(1, 0, obs.PhTotal, 10, 26)
 			root.N = 2
-			r.Span(root)
-			r.Span(span(1, 01, obs.PhReqTravel, 10, 26))
+			r.Span(root, t1)
+			r.Span(span(1, 01, obs.PhReqTravel, 10, 26), t1)
 		}, "after its root"},
-		{"orphaned children", func(r *Recorder) {
-			r.Span(span(1, 01, obs.PhReqTravel, 10, 14))
+		{"orphaned children", func(r *Recorder, t1 *TxSpans) {
+			r.Span(span(1, 01, obs.PhReqTravel, 10, 14), t1)
 			r.Finish(0, 100)
 		}, "no root"},
-		{"lost ack.gather", func(r *Recorder) {
+		{"lost ack.gather", func(r *Recorder, t1 *TxSpans) {
 			root := span(1, 0, obs.PhTotal, 10, 26)
 			root.N = 2 // fan-out: owes an async ack.gather child
-			r.Span(root)
+			r.Span(root, t1)
 			r.Finish(0, 100)
 		}, "without its ack.gather"},
 	}
 	for _, tc := range cases {
-		r := NewRecorder(nil, nil)
-		tc.feed(r)
+		r := NewRecorder(nil, nil, 4)
+		tc.feed(r, new(TxSpans))
 		found := false
 		for _, v := range r.Violations() {
 			if v.Rule == RuleSpan && strings.Contains(v.Detail, tc.want) {
@@ -286,16 +287,17 @@ func TestSpanViolations(t *testing.T) {
 // before or after the root; both orders complete the tree cleanly.
 func TestSpanAckGatherOrder(t *testing.T) {
 	for _, ackFirst := range []bool{true, false} {
-		r := NewRecorder(nil, nil)
+		r := NewRecorder(nil, nil, 4)
+		t1 := new(TxSpans)
 		root := span(1, 0, obs.PhTotal, 10, 26)
 		root.N = 2
 		ack := span(1, 01, obs.PhAckGather, 12, 40)
 		if ackFirst {
-			r.Span(ack)
-			r.Span(root)
+			r.Span(ack, t1)
+			r.Span(root, t1)
 		} else {
-			r.Span(root)
-			r.Span(ack)
+			r.Span(root, t1)
+			r.Span(ack, t1)
 		}
 		r.Finish(0, 100)
 		if r.Count() != 0 {
@@ -320,5 +322,96 @@ func TestJSONLSinkEncodesStrings(t *testing.T) {
 		if want := strings.ToValidUTF8(s, "\uFFFD"); rec.Run != want || rec.Detail != want {
 			t.Fatalf("%q decoded as run %q, detail %q", s, rec.Run, rec.Detail)
 		}
+	}
+}
+
+// TestBlockRecords: a block's shadow record keeps its in-flight count,
+// open transaction, pending recalls and holder set together, for any block
+// number a 61-bit trace address can name and at any processor count (130
+// processors take three holder words), and a block never named has no
+// record.
+func TestBlockRecords(t *testing.T) {
+	const procs = 130
+	r := NewRecorder(nil, nil, procs)
+	const maxBlock = (1<<61 - 1) / 8 // the last block of the 61-bit address space at one word a block
+	blocks := []int64{0, 1, 2, 63, 64, 1 << 20, 1 << 40, maxBlock - 1, maxBlock}
+	for i := int64(0); i < 4000; i++ {
+		blocks = append(blocks, 1000+i*97) // enough records to grow the table several times
+	}
+	for i, b := range blocks {
+		p := i % procs
+		r.Cached(p, b)
+		r.Cached(procs-1, b)
+		r.InvalSent(b, 2)
+		r.OpenTx(b, uint64(i+1))
+		r.RecallPending(b, +1)
+	}
+	for i, b := range blocks {
+		s := r.Block(b)
+		p := i % procs
+		if s == nil || s.ID() != b || s.Inflight() != 2 || s.Tx() != uint64(i+1) || s.RecallsPending() != 1 {
+			t.Fatalf("block %d: record %+v", b, s)
+		}
+		if !s.Holds(p) || !s.Holds(procs-1) || (p != procs-1 && s.Holds((p+1)%(procs-1))) {
+			t.Fatalf("block %d: holders %x, want procs %d and %d", b, s.Holders(), p, procs-1)
+		}
+		if len(s.Holders()) != 3 {
+			t.Fatalf("block %d: %d holder words for %d procs, want 3", b, len(s.Holders()), procs)
+		}
+		r.Uncached(p, b)
+		if s.Holds(p) && p != procs-1 {
+			t.Fatalf("block %d: Uncached(%d) left the holder bit", b, p)
+		}
+		r.RecallPending(b, -2)
+		if s.RecallsPending() != 0 {
+			t.Fatalf("block %d: recall count went to %d, want it floored at 0", b, s.RecallsPending())
+		}
+	}
+	if s := r.Block(maxBlock - 2); s != nil {
+		t.Fatalf("a block never named has record %+v", s)
+	}
+	r.Uncached(5, maxBlock-2) // uncaching an untracked block is a no-op
+	if r.Block(maxBlock-2) != nil {
+		t.Fatal("Uncached created a record")
+	}
+}
+
+// TestSpanStateMismatch: a span handed the tiling state of another
+// transaction is a span violation, and leaves that state untouched.
+func TestSpanStateMismatch(t *testing.T) {
+	r := NewRecorder(nil, nil, 1)
+	t1 := new(TxSpans)
+	r.Span(span(1, 1, obs.PhReqTravel, 10, 14), t1)
+	r.Span(span(2, 2, obs.PhDirWait, 14, 20), t1)
+	if r.Count() != 1 || !strings.Contains(r.Violations()[0].Detail, "handed the tiling state of transaction 1") {
+		t.Fatalf("mismatched state not flagged: %v", r.Violations())
+	}
+	r.Span(span(1, 1, obs.PhDirWait, 14, 20), t1)
+	r.Span(span(1, 0, obs.PhTotal, 10, 20), t1)
+	r.Finish(0, 100)
+	if r.Count() != 1 {
+		t.Fatalf("transaction 1's tree did not complete cleanly: %v", r.Violations())
+	}
+}
+
+// TestSpanReleaseKeepsOpenTrees: a record the machine releases with its
+// tree still owed spans (here its ack.gather) is reported at Finish, and
+// the released state is clear for the next transaction.
+func TestSpanReleaseKeepsOpenTrees(t *testing.T) {
+	r := NewRecorder(nil, nil, 1)
+	t1 := new(TxSpans)
+	root := span(7, 0, obs.PhTotal, 10, 26)
+	root.N = 2
+	r.Span(root, t1)
+	r.Release(t1)
+	if *t1 != (TxSpans{}) {
+		t.Fatalf("released state not cleared: %+v", *t1)
+	}
+	r.Span(span(8, 8, obs.PhReqTravel, 30, 34), t1)
+	r.Span(span(8, 0, obs.PhTotal, 30, 34), t1)
+	r.Release(t1)
+	r.Finish(0, 100)
+	if r.Count() != 1 || !strings.Contains(r.Violations()[0].Detail, "transaction 7 (write) ended without its ack.gather") {
+		t.Fatalf("want only transaction 7's lost ack.gather, got %v", r.Violations())
 	}
 }

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dircoh/internal/cache"
 	"dircoh/internal/check"
@@ -137,11 +138,13 @@ func (m *Machine) applyInval(c *clusterNode, b int64, recall bool) {
 
 // shadowMiss reports whether a directed invalidation of b at c is about to
 // find neither a cached copy nor a pending read — the checker's independent
-// recount of invalidateCluster's extraneous-invalidation test. Inclusion
-// makes the L2 state authoritative for presence.
+// recount of invalidateCluster's extraneous-invalidation test, which reads
+// the block's holder set instead of the caches. Inclusion makes the L2
+// authoritative for presence.
 func (m *Machine) shadowMiss(c *clusterNode, b int64) bool {
+	sb := m.chk.Block(b)
 	for _, q := range c.procs {
-		if q.h.State(b) != cache.Invalid {
+		if sb.Holds(q.id) {
 			return false
 		}
 	}
@@ -164,7 +167,8 @@ func (m *Machine) invalApplied(b int64) {
 // gated at the home, tracked by the home's RAC, or with directed
 // invalidations still traveling — are legitimately in transition and are
 // skipped; every transition's settle point calls back here, so the
-// assertions still run as soon as the block quiesces.
+// assertions still run as soon as the block quiesces. A block the checker
+// has no record of is cached nowhere and has nothing in flight.
 //
 // Two invariant families are checked:
 //
@@ -184,12 +188,16 @@ func (m *Machine) checkBlock(b int64) {
 	if chk == nil {
 		return
 	}
+	sb := chk.Block(b)
+	if sb == nil || sb.Inflight() > 0 {
+		return
+	}
 	h := m.clusters[m.home(b)]
-	if h.gate.Busy(b) || h.rac.Tracking(b) || chk.Inflight(b) > 0 {
+	if h.gate.Busy(b) || h.rac.Tracking(b) {
 		return
 	}
 	now := uint64(m.now())
-	copies := m.blockCopies(b)
+	copies := m.blockCopies(sb)
 	check.SingleWriter(copies, func(cl int, detail string) {
 		chk.Violationf(check.RuleSingleWriter, int32(cl), b, now, "%s", detail)
 	})
@@ -201,20 +209,28 @@ func (m *Machine) checkBlock(b int64) {
 	})
 }
 
-// blockCopies collects every live cached copy of block b into the pure
-// view the check predicates consume, reusing a scratch buffer.
-func (m *Machine) blockCopies(b int64) []check.Copy {
+// holderProbe, when set (by tests), is handed every copy view blockCopies
+// builds, so a test can hold the holder set against a scan of every cache.
+var holderProbe func(m *Machine, b int64, copies []check.Copy)
+
+// blockCopies collects every live cached copy of block sb into the pure
+// view the check predicates consume, reusing a scratch buffer. Only the
+// processors in the block's holder set are asked for their state.
+func (m *Machine) blockCopies(sb *check.Block) []check.Copy {
+	b := sb.ID()
 	m.copyBuf = m.copyBuf[:0]
-	for _, p := range m.procs {
-		st := p.h.State(b)
-		if st == cache.Invalid {
-			continue
+	for w, word := range sb.Holders() {
+		for ; word != 0; word &= word - 1 {
+			p := m.procs[w<<6|bits.TrailingZeros64(word)]
+			cs := check.CopyShared
+			if p.h.State(b) == cache.Dirty {
+				cs = check.CopyDirty
+			}
+			m.copyBuf = append(m.copyBuf, check.Copy{Proc: p.id, Cluster: p.cl.id, State: cs})
 		}
-		cs := check.CopyShared
-		if st == cache.Dirty {
-			cs = check.CopyDirty
-		}
-		m.copyBuf = append(m.copyBuf, check.Copy{Proc: p.id, Cluster: p.cl.id, State: cs})
+	}
+	if holderProbe != nil {
+		holderProbe(m, b, m.copyBuf)
 	}
 	return m.copyBuf
 }
@@ -245,16 +261,18 @@ func (m *Machine) entryView(h *clusterNode, b int64) check.EntryView {
 // re-allocated the block into a fresh directory entry and installed a copy
 // that entry covers. And under heavy set pressure that fresh entry may
 // itself already be reclaimed, so the copy's tracking has moved to a
-// second, still-pending recall for the same block (recallsPending).
+// second, still-pending recall for the same block (the record's
+// RecallsPending).
 func (m *Machine) checkRecallClean(h *clusterNode, vb int64) {
 	chk := m.chk
 	if chk == nil {
 		return
 	}
-	if m.recallsPending[vb] > 0 {
+	sb := chk.Block(vb)
+	if sb == nil || sb.RecallsPending() > 0 {
 		return
 	}
-	if chk.Inflight(vb) > 0 {
+	if sb.Inflight() > 0 {
 		// A directed invalidation for the block is still traveling (a
 		// write fan-out acknowledged to the requester, not the home, or
 		// a fault-delayed retry) and will collect the surviving copy;
@@ -262,7 +280,7 @@ func (m *Machine) checkRecallClean(h *clusterNode, vb int64) {
 		return
 	}
 	now := uint64(m.now())
-	check.RecallClean(h.id, m.blockCopies(vb), m.entryView(h, vb), func(cl int, detail string) {
+	check.RecallClean(h.id, m.blockCopies(sb), m.entryView(h, vb), func(cl int, detail string) {
 		chk.Violationf(check.RuleRecall, int32(cl), vb, now, "%s", detail)
 	})
 }
@@ -270,18 +288,38 @@ func (m *Machine) checkRecallClean(h *clusterNode, vb int64) {
 // finishChecks runs the end-of-run conservation audits (no invalidation in
 // flight, no acknowledgement lost, extraneous-invalidation recount, span
 // trees terminated) and a final sweep of every cached block's invariants.
+// The sweep visits the caches in processor order and checks each block
+// where it is first met: at its lowest-numbered holder.
 func (m *Machine) finishChecks() {
 	if m.chk == nil {
 		return
 	}
-	seen := make(map[int64]bool)
 	for _, p := range m.procs {
 		p.h.ForEach(func(b int64, _ cache.State) {
-			if !seen[b] {
-				seen[b] = true
+			if m.firstHolder(b) == p.id {
 				m.checkBlock(b)
 			}
 		})
 	}
 	m.chk.Finish(m.reg.Counter("dir.inval.extraneous").Value(), uint64(m.now()))
+}
+
+// firstHolder returns the lowest-numbered processor whose L2 holds b, or
+// -1.
+func (m *Machine) firstHolder(b int64) int {
+	for w, word := range m.chk.Block(b).Holders() {
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// recallPending adjusts the per-block count of replacement recalls queued
+// or in flight, which feeds checkRecallClean's exemption for blocks that
+// owe a second recall (see check.Recorder.RecallPending).
+func (m *Machine) recallPending(vb int64, d int) {
+	if m.chk != nil {
+		m.chk.RecallPending(vb, d)
+	}
 }

@@ -327,8 +327,8 @@ func TestCheckerForcesSpanMachinery(t *testing.T) {
 // TestCheckerSpanTamper feeds the span verifier a corrupted span directly
 // and expects a tiling violation — guarding the verifier itself.
 func TestCheckerSpanTamper(t *testing.T) {
-	r := check.NewRecorder(nil, nil)
-	r.Span(obs.Span{Tx: 1, ID: 1, Parent: 0, Class: obs.TxRead, Phase: obs.PhTotal, Start: 10, End: 5})
+	r := check.NewRecorder(nil, nil, 1)
+	r.Span(&obs.Span{Tx: 1, ID: 1, Parent: 0, Class: obs.TxRead, Phase: obs.PhTotal, Start: 10, End: 5}, new(check.TxSpans))
 	if r.Count() == 0 {
 		t.Fatal("end-before-start span not flagged")
 	}

@@ -55,6 +55,7 @@ type Machine struct {
 	dirLive   *obs.Histogram // "dir.entries.live"
 	portDepth *obs.Histogram // "mesh.port.backlog"
 	txSlab    []txState      // never-used transaction records, carved in batches
+	txCarved  int            // transaction records carved so far
 	txFree    []*txState     // finished transaction records, reused first
 
 	// recs holds the operands of home-side and per-message event chains
@@ -70,9 +71,10 @@ type Machine struct {
 	writeLat  stats.LatHist   // write completion latency (to ownership)
 
 	// chk is the runtime invariant checker (nil when Config.Check is off;
-	// the nil test is the whole disabled-path cost). faultFired latches the
-	// single-shot fault injection (Config.Fault). copyBuf is the scratch
-	// slice blockCopies reuses to build predicate views.
+	// the nil test is the whole disabled-path cost), which also holds the
+	// per-block shadow records the checks read (check.Block). faultFired
+	// latches the single-shot fault injection (Config.Fault). copyBuf is
+	// the scratch slice blockCopies reuses to build predicate views.
 	chk        *check.Recorder
 	faultFired bool
 	copyBuf    []check.Copy
@@ -87,18 +89,14 @@ type Machine struct {
 	retryCnt      *obs.Counter      // "net.retry.count"
 	retryGiveup   *obs.Counter      // "net.retry.giveup"
 	dupSuppressed *obs.Counter      // "net.dup.suppressed"
-
-	// recallsPending counts replacement recalls queued or in flight per
-	// global block (checker bookkeeping only, nil when Check is off). A
-	// block whose directory entry is reclaimed, re-allocated by a request
-	// replayed off the gate, and reclaimed again can owe two recalls at
-	// once; the first to complete must not be blamed for copies the second
-	// snapshotted and will invalidate.
-	recallsPending map[int64]int
 }
 
-// txSlabLen is how many transaction records the machine allocates at once.
-const txSlabLen = 256
+// txSlabMin and txSlabLen bound how many transaction records the machine
+// allocates at once.
+const (
+	txSlabMin = 32
+	txSlabLen = 256
+)
 
 // clusterNode is one processing node: processors, bus, memory+directory.
 //
@@ -251,8 +249,7 @@ func New(cfg Config) (*Machine, error) {
 		txOn: cfg.Spans != nil || cfg.Check,
 	}
 	if cfg.Check {
-		m.chk = check.NewRecorder(reg, cfg.CheckSink)
-		m.recallsPending = make(map[int64]int)
+		m.chk = check.NewRecorder(reg, cfg.CheckSink, cfg.Procs)
 	}
 
 	mc := cfg.Mesh

@@ -39,9 +39,18 @@ func (m *Machine) accessBlock(p *proc, write bool, b int64) {
 }
 
 // fill installs block b in p's caches and handles any writeback the fill
-// displaces.
+// displaces. With checking on, the block's holder set gains p and the
+// victim's loses it: fills and the three Invalidate calls below
+// (busMiss, invalidateCluster, homeLocalWrite) are the only places an
+// L2's contents change, and each keeps the holder sets in step.
 func (m *Machine) fill(p *proc, b int64, st cache.State) {
 	v := p.h.Fill(b, st, m.now())
+	if m.chk != nil {
+		m.chk.Cached(p.id, b)
+		if v.Valid {
+			m.chk.Uncached(p.id, v.Block)
+		}
+	}
 	m.handleVictim(p, v)
 }
 
@@ -157,7 +166,11 @@ func (m *Machine) busMiss(p *proc, write bool, b int64, upgrade bool) {
 			if q == p {
 				continue
 			}
-			if _, d := q.h.Invalidate(b); d {
+			present, d := q.h.Invalidate(b)
+			if present && m.chk != nil {
+				m.chk.Uncached(q.id, b)
+			}
+			if d {
 				localDirty = true
 			}
 		}
@@ -280,6 +293,9 @@ func (m *Machine) invalidateCluster(c *clusterNode, b int64, directed bool) {
 	for _, q := range c.procs {
 		if present, _ := q.h.Invalidate(b); present {
 			hit = true
+			if m.chk != nil {
+				m.chk.Uncached(q.id, b)
+			}
 		}
 	}
 	if r := c.leader(readMiss, b); r != nil {
@@ -378,7 +394,11 @@ func (m *Machine) homeLocalWrite(p *proc, b int64) {
 		if q == p {
 			continue
 		}
-		if _, d := q.h.Invalidate(b); d {
+		present, d := q.h.Invalidate(b)
+		if present && m.chk != nil {
+			m.chk.Uncached(q.id, b)
+		}
+		if d {
 			localDirty = true
 		}
 	}
@@ -818,18 +838,5 @@ func (m *Machine) racAck(h *clusterNode, vb int64) {
 		m.recallPending(vb, -1)
 		m.checkRecallClean(h, vb)
 		m.reopen(h, vb)
-	}
-}
-
-// recallPending adjusts the per-block count of replacement recalls queued
-// or in flight. Checker bookkeeping only: it feeds checkRecallClean's
-// exemption for blocks that owe a second recall (see recallsPending).
-func (m *Machine) recallPending(vb int64, d int) {
-	if m.chk == nil {
-		return
-	}
-	m.recallsPending[vb] += d
-	if m.recallsPending[vb] <= 0 {
-		delete(m.recallsPending, vb)
 	}
 }

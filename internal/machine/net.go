@@ -162,7 +162,7 @@ func (m *Machine) emitRecovery(env *netMsg) {
 	if tx == nil || !m.txOn {
 		return
 	}
-	m.emitSpan(obs.Span{
+	m.emitSpan(tx, &obs.Span{
 		Tx: tx.id, ID: m.spanID(m.clusters[env.from]), Parent: tx.id,
 		Class: tx.class, Phase: obs.PhRecovery, Node: tx.node, Block: tx.block,
 		Start: uint64(env.sent), End: uint64(m.now()), N: int64(env.attempt),

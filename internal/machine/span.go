@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"dircoh/internal/check"
 	"dircoh/internal/obs"
 	"dircoh/internal/sim"
 )
@@ -28,25 +29,30 @@ import (
 // envelope carrying it is undelivered (envs). A retry of an undelivered
 // envelope still annotates the transaction after its root, so the
 // envelope holds the record until delivery.
+//
+// With the checker on, spans carries the transaction's span tree as the
+// tiling verifier has seen it, so verifying a span looks nothing up.
 type txState struct {
 	id    uint64
-	class obs.TxClass
-	node  int32
 	block int64
 	start sim.Time
 	mark  sim.Time
+	node  int32
+	class obs.TxClass
+
+	open      bool // the root span has not been emitted
+	freed     bool // on the free list
+	endOnAcks bool // the root ends with the last acknowledgement (evictions)
 
 	// Invalidation fan-out bookkeeping: acks counts outstanding
-	// acknowledgements, ackStart the dispatch time. endOnAcks marks
-	// transactions (evictions) whose root ends with the last ack.
-	acks      int
-	ackStart  sim.Time
-	fanout    int64
-	endOnAcks bool
+	// acknowledgements, ackStart the dispatch time.
+	acks     int
+	ackStart sim.Time
+	fanout   int64
 
-	open  bool // the root span has not been emitted
-	envs  int  // undelivered envelopes naming the transaction
-	freed bool // on the free list
+	envs int // undelivered envelopes naming the transaction
+
+	spans check.TxSpans
 }
 
 // spanID allocates the next span identifier in cluster c's context: the
@@ -68,17 +74,19 @@ func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txSta
 	now := m.now()
 	// Finished records are reused before new ones are carved from a slab:
 	// a fresh object per transaction was the largest single cost of span
-	// tracing.
+	// tracing. Each slab is as large as all carved before it, from
+	// txSlabMin up to txSlabLen, so a small machine carves few records.
 	var tx *txState
 	if n := len(m.txFree); n > 0 {
 		tx = m.txFree[n-1]
 		m.txFree = m.txFree[:n-1]
 	} else {
 		if len(m.txSlab) == 0 {
-			m.txSlab = make([]txState, txSlabLen)
+			m.txSlab = make([]txState, min(max(m.txCarved, txSlabMin), txSlabLen))
 		}
 		tx = &m.txSlab[0]
 		m.txSlab = m.txSlab[1:]
+		m.txCarved++
 	}
 	*tx = txState{id: m.spanID(c), class: class, node: int32(c.id), block: block, start: now, mark: now, open: true}
 	if m.chk != nil {
@@ -87,14 +95,16 @@ func (m *Machine) txStart(class obs.TxClass, c *clusterNode, block int64) *txSta
 	return tx
 }
 
-// emitSpan hands one span to the checker's span-tiling verifier when
-// checking is on, and to the recorder when spans are recorded.
-func (m *Machine) emitSpan(s obs.Span) {
+// emitSpan hands one span of transaction tx to the checker's span-tiling
+// verifier when checking is on, and to the recorder when spans are
+// recorded. The span travels by pointer: copying the 64-byte value it is
+// built into was a measurable share of a checked run.
+func (m *Machine) emitSpan(tx *txState, s *obs.Span) {
 	if m.chk != nil {
-		m.chk.Span(s)
+		m.chk.Span(s, &tx.spans)
 	}
 	if m.spans != nil {
-		m.spans.Emit(s)
+		m.spans.Emit(*s)
 	}
 }
 
@@ -115,7 +125,7 @@ func (m *Machine) txPhase(c *clusterNode, tx *txState, ph obs.Phase) {
 		return
 	}
 	now := m.now()
-	m.emitSpan(obs.Span{
+	m.emitSpan(tx, &obs.Span{
 		Tx: tx.id, ID: m.spanID(c), Parent: tx.id,
 		Class: tx.class, Phase: ph, Node: tx.node, Block: tx.block,
 		Start: uint64(tx.mark), End: uint64(now),
@@ -149,7 +159,7 @@ func (m *Machine) txAck(c *clusterNode, tx *txState) {
 		return
 	}
 	now := m.now()
-	m.emitSpan(obs.Span{
+	m.emitSpan(tx, &obs.Span{
 		Tx: tx.id, ID: m.spanID(c), Parent: tx.id,
 		Class: tx.class, Phase: obs.PhAckGather, Node: tx.node, Block: tx.block,
 		Start: uint64(tx.ackStart), End: uint64(now), N: tx.fanout,
@@ -169,7 +179,7 @@ func (m *Machine) txEnd(tx *txState) {
 		return
 	}
 	now := m.now()
-	m.emitSpan(obs.Span{
+	m.emitSpan(tx, &obs.Span{
 		Tx: tx.id, ID: tx.id, Parent: 0,
 		Class: tx.class, Phase: obs.PhTotal, Node: tx.node, Block: tx.block,
 		Start: uint64(tx.start), End: uint64(now), N: tx.fanout,
@@ -191,6 +201,9 @@ func (m *Machine) txRelease(tx *txState) {
 	}
 	if tx.freed {
 		panic(fmt.Sprintf("machine: transaction %d released twice", tx.id))
+	}
+	if m.chk != nil {
+		m.chk.Release(&tx.spans)
 	}
 	tx.freed = true
 	m.txFree = append(m.txFree, tx)
